@@ -11,8 +11,9 @@ use ldmo_geom::{Grid, Rect};
 use ldmo_ilt::{GuardPolicy, IltConfig, IltSession};
 use ldmo_layout::cells;
 use ldmo_litho::{
-    aerial_image, combine_prints, detect_violations, measure_epe, resist_threshold, sigmoid,
-    simulate_print, AerialImage, CoherentKernel, KernelBank, LithoConfig,
+    aerial_image, combine_prints, convolve_separable_padded_into, detect_violations, measure_epe,
+    resist_threshold, sigmoid, simulate_print, AerialImage, CoherentKernel, ConvScratch,
+    KernelBank, LithoConfig,
 };
 use ldmo_vision::sift::{extract_features, SiftConfig};
 
@@ -30,6 +31,36 @@ fn bench_litho(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("aerial_image_224", |b| {
         b.iter(|| aerial_image(&mask, &bank))
+    });
+    // one separable convolution with the bank's widest (271-tap) profile
+    // on a chip-tile-sized grid (~494² px haloed windows), the cell mask
+    // centered in it
+    let widest = bank
+        .kernels()
+        .iter()
+        .flat_map(|k| k.components().map(|(_, p)| p))
+        .max_by_key(|p| p.len())
+        .expect("bank kernels have components");
+    let side = 494;
+    let mut tile = Grid::zeros(side, side);
+    let (mw, mh) = mask.shape();
+    let (ox, oy) = ((side - mw) / 2, (side - mh) / 2);
+    for y in 0..mh {
+        for x in 0..mw {
+            tile.set(ox + x, oy + y, mask.get(x, y));
+        }
+    }
+    let mut scratch = ConvScratch::new(side, side);
+    group.bench_function("separable_494", |b| {
+        b.iter(|| {
+            convolve_separable_padded_into(
+                &tile,
+                widest,
+                &mut scratch.tmp,
+                &mut scratch.pad,
+                &mut scratch.part,
+            )
+        })
     });
     let aerial = aerial_image(&mask, &bank);
     group.bench_function("resist_threshold_224", |b| {

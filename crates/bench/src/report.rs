@@ -6,7 +6,8 @@
 //!
 //! ```json
 //! {"schema":"ldmo-bench-report","version":1,"name":"table1",
-//!  "git_rev":"abc1234","threads":8,"fast":false,"written_unix_ms":0,
+//!  "git_rev":"abc1234","threads":8,"cpu":"Intel(R) Xeon(R) ...",
+//!  "fast":false,"written_unix_ms":0,
 //!  "results":[{"id":"AOI211_X1/ours","unit":"s","n":1,
 //!              "min":1.2,"median":1.2,"max":1.2,"mean":1.2,
 //!              "meta":{"epe":0}}]}
@@ -52,14 +53,30 @@ pub struct BenchReport {
     /// `git rev-parse --short HEAD` at collection time, `"unknown"` when
     /// git is unavailable.
     pub git_rev: String,
-    /// Worker-thread count the run was collected with.
+    /// Worker-thread count the run was collected with (the host's cores).
     pub threads: usize,
+    /// The host's CPU model (`model name` in `/proc/cpuinfo`), `"unknown"`
+    /// where that is unavailable.
+    pub cpu: String,
     /// Whether `LDMO_FAST=1` shrank the workload.
     pub fast: bool,
     /// Wall-clock collection time (ms since the Unix epoch).
     pub written_unix_ms: u64,
     /// The measured rows.
     pub results: Vec<BenchResult>,
+}
+
+/// The first `model name` in `/proc/cpuinfo`, or `"unknown"`.
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 /// `git rev-parse --short HEAD`, or `"unknown"` outside a git checkout.
@@ -83,6 +100,7 @@ impl BenchReport {
             name: name.into(),
             git_rev: git_rev(),
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu: cpu_model(),
             fast: crate::fast_mode(),
             written_unix_ms: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
@@ -141,11 +159,12 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"schema\":\"ldmo-bench-report\",\"version\":1,\
-             \"name\":\"{}\",\"git_rev\":\"{}\",\"threads\":{},\
+             \"name\":\"{}\",\"git_rev\":\"{}\",\"threads\":{},\"cpu\":\"{}\",\
              \"fast\":{},\"written_unix_ms\":{},\"results\":[",
             json::escape(&self.name),
             json::escape(&self.git_rev),
             self.threads,
+            json::escape(&self.cpu),
             self.fast,
             self.written_unix_ms
         );
@@ -250,6 +269,7 @@ impl BenchReport {
             name: get_str("name"),
             git_rev: get_str("git_rev"),
             threads: get_num("threads") as usize,
+            cpu: get_str("cpu"),
             fast,
             written_unix_ms: get_num("written_unix_ms") as u64,
             results,

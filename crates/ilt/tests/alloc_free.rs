@@ -23,13 +23,24 @@ fn step_one_is_allocation_free_after_warmup() {
     use ldmo_ilt::{IltConfig, IltSession};
     use ldmo_layout::Layout;
 
-    let layout = Layout::new(
+    let clip = Layout::new(
         Rect::new(0, 0, 448, 448),
         vec![
             Rect::square(120, 120, 64),
             Rect::square(248, 120, 64),
             Rect::square(120, 248, 64),
             Rect::square(248, 248, 64),
+        ],
+    );
+    // wider than 1508 nm: a padded row of this window plus the widest
+    // profile's 2 x 135 taps no longer fits a 1024-float stack buffer, so
+    // every pass must take its padded rows from the caller's scratch
+    let wide = Layout::new(
+        Rect::new(0, 0, 1600, 160),
+        vec![
+            Rect::square(100, 48, 64),
+            Rect::square(760, 48, 64),
+            Rect::square(1420, 48, 64),
         ],
     );
     // The trace collector must also be allocation-free on the hot path:
@@ -48,24 +59,30 @@ fn step_one_is_allocation_free_after_warmup() {
     // tests would observe each other's setup allocations.
     use ldmo_litho::backend::{self, BackendKind};
     let prev = backend::backend_kind();
-    for kind in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Batched] {
-        backend::set_backend(kind);
-        let mut session = IltSession::new(&layout, &[0, 1, 1, 0], &IltConfig::default());
-        // warmup: the first iterations populate anything touched lazily
-        // (including lazy metric registration in ldmo-obs and the SIMD
-        // feature-detection cache)
-        session.step_one();
-        session.step_one();
+    for (name, layout) in [("clip", &clip), ("wide", &wide)] {
+        for kind in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Batched] {
+            backend::set_backend(kind);
+            let mut session = IltSession::new(
+                layout,
+                &[0, 1, 1, 0][..layout.patterns().len()],
+                &IltConfig::default(),
+            );
+            // warmup: the first iterations populate anything touched lazily
+            // (including lazy metric registration in ldmo-obs and the SIMD
+            // feature-detection cache)
+            session.step_one();
+            session.step_one();
 
-        let before = alloc_event_count();
-        let l2 = session.step_one();
-        let allocated = alloc_event_count() - before;
-        assert!(l2.is_finite());
-        assert_eq!(
-            allocated, 0,
-            "step_one under backend '{kind}' performed {allocated} heap allocations; \
-             the hot path must reuse session buffers"
-        );
+            let before = alloc_event_count();
+            let l2 = session.step_one();
+            let allocated = alloc_event_count() - before;
+            assert!(l2.is_finite());
+            assert_eq!(
+                allocated, 0,
+                "step_one on the {name} window under backend '{kind}' performed \
+                 {allocated} heap allocations; the hot path must reuse session buffers"
+            );
+        }
     }
     backend::set_backend(prev);
     // the self-profiling counters themselves must have seen real traffic

@@ -6,12 +6,16 @@
 //! implementations that must agree with [`ScalarBackend`] bit-for-bit (or
 //! within a declared ULP tolerance — every in-tree backend declares 0).
 //!
-//! - [`ScalarBackend`] — the register-blocked scalar passes, unchanged.
-//! - [`SimdBackend`] — `std::arch` x86_64 SSE2/AVX2 lanes over the output
-//!   tile, detected at runtime; scalar fallback on other architectures.
-//!   Bit-identical by construction: lanes vectorize across output elements
-//!   while each element keeps the exact scalar tap order (increasing `k`)
-//!   and operation shape (`mul` then `add`, never fused).
+//! - [`ScalarBackend`] — the register-blocked scalar passes, rows then
+//!   columns: the reference that defines the bits.
+//! - [`SimdBackend`] — one transposing row kernel run twice (rows of the
+//!   input into the transposed intermediate, rows of that back into the
+//!   output), vectorized with `std::arch` AVX-512, AVX2 or SSE2 tiles on
+//!   x86_64, the widest tier detected at runtime; scalar elsewhere.
+//!   Bit-identical by construction: each vector lane is one output, which
+//!   keeps the scalar tap order (increasing `k`) and operation shape (`mul`
+//!   then `add`, never fused); the taps it skips only ever add `±0.0` to an
+//!   accumulator that cannot be `−0.0` (DESIGN.md §13).
 //! - [`BatchedBackend`] — the same per-pass arithmetic as the auto-resolved
 //!   SIMD/scalar path, plus a process-wide signal (see
 //!   [`backend_kind`]`() == `[`BackendKind::Batched`]) that higher layers —
@@ -43,8 +47,10 @@ pub trait LithoBackend: Send + Sync + fmt::Debug {
     /// Stable lowercase backend name (`"scalar"`, `"simd"`, `"batched"`).
     fn name(&self) -> &'static str;
 
-    /// Separable convolution `input ⊗ (p pᵀ)`: row pass into `tmp`, column
-    /// pass into `out`; both buffers fully overwritten, no allocation.
+    /// Separable convolution `input ⊗ (p pᵀ)` into `out`, through the
+    /// intermediate `tmp` (whose layout is the backend's own) and the
+    /// padded-row buffer `pad`. `tmp` and `out` are fully overwritten;
+    /// `pad` grows if it is too short and is otherwise not reallocated.
     ///
     /// # Panics
     ///
@@ -55,6 +61,7 @@ pub trait LithoBackend: Send + Sync + fmt::Debug {
         input: &Grid,
         profile: &[f32],
         tmp: &mut Grid,
+        pad: &mut Vec<f32>,
         out: &mut Grid,
     );
 
@@ -77,7 +84,7 @@ pub enum BackendKind {
     Auto,
     /// The register-blocked scalar passes.
     Scalar,
-    /// Runtime-detected SSE2/AVX2 vector passes.
+    /// Runtime-detected AVX-512/AVX2/SSE2 vector passes.
     Simd,
     /// SIMD/scalar passes plus batched candidate evaluation in ranking.
     Batched,
@@ -187,14 +194,16 @@ impl LithoBackend for ScalarBackend {
         input: &Grid,
         profile: &[f32],
         tmp: &mut Grid,
+        pad: &mut Vec<f32>,
         out: &mut Grid,
     ) {
-        conv::convolve_rows_scalar(input, profile, tmp);
+        conv::convolve_rows_scalar(input, profile, tmp, pad);
         conv::convolve_cols_scalar(tmp, profile, out);
     }
 }
 
-/// The vectorized backend: SSE2/AVX2 on x86_64 (runtime-detected), scalar
+/// The vectorized backend: the transposing row kernel, run once per axis,
+/// on the widest of AVX-512/AVX2/SSE2 the x86_64 host has; scalar
 /// fallback elsewhere. Bit-identical to [`ScalarBackend`] — lanes run
 /// across output elements, so each element sees the scalar tap order and
 /// unfused mul/add sequence exactly.
@@ -211,10 +220,10 @@ impl LithoBackend for SimdBackend {
         input: &Grid,
         profile: &[f32],
         tmp: &mut Grid,
+        pad: &mut Vec<f32>,
         out: &mut Grid,
     ) {
-        conv::convolve_rows_simd(input, profile, tmp);
-        conv::convolve_cols_simd(tmp, profile, out);
+        conv::convolve_separable_simd(input, profile, tmp, pad, out);
     }
 }
 
@@ -236,10 +245,10 @@ impl LithoBackend for BatchedBackend {
         input: &Grid,
         profile: &[f32],
         tmp: &mut Grid,
+        pad: &mut Vec<f32>,
         out: &mut Grid,
     ) {
-        conv::convolve_rows_simd(input, profile, tmp);
-        conv::convolve_cols_simd(tmp, profile, out);
+        conv::convolve_separable_simd(input, profile, tmp, pad, out);
     }
 }
 

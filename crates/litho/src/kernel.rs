@@ -23,7 +23,7 @@
 //! the forward convolution and the gradient back-projection stay on the
 //! fast separable path.
 
-use crate::conv::{convolve_separable_into, correlate_separable_into};
+use crate::conv::convolve_separable_padded_into;
 use crate::workspace::ConvScratch;
 use crate::LithoConfig;
 use ldmo_geom::Grid;
@@ -178,7 +178,13 @@ impl CoherentKernel {
         // first component writes, the rest accumulate: skips a full-grid
         // zero-fill per call on the single-component (plain Gaussian) case
         for (i, c) in self.components.iter().enumerate() {
-            convolve_separable_into(mask, &c.profile, &mut scratch.tmp, &mut scratch.part);
+            convolve_separable_padded_into(
+                mask,
+                &c.profile,
+                &mut scratch.tmp,
+                &mut scratch.pad,
+                &mut scratch.part,
+            );
             let a = out.as_mut_slice();
             if i == 0 {
                 for (v, &p) in a.iter_mut().zip(scratch.part.as_slice()) {
@@ -207,7 +213,14 @@ impl CoherentKernel {
     pub fn backproject_into(&self, g: &Grid, scratch: &mut ConvScratch, out: &mut Grid) {
         assert_eq!(g.shape(), out.shape(), "output shape mismatch");
         for (i, c) in self.components.iter().enumerate() {
-            correlate_separable_into(g, &c.profile, &mut scratch.tmp, &mut scratch.part);
+            // a symmetric profile is its own flip: correlation == convolution
+            convolve_separable_padded_into(
+                g,
+                &c.profile,
+                &mut scratch.tmp,
+                &mut scratch.pad,
+                &mut scratch.part,
+            );
             let a = out.as_mut_slice();
             if i == 0 {
                 for (v, &p) in a.iter_mut().zip(scratch.part.as_slice()) {

@@ -63,8 +63,8 @@ pub use backend::{BackendKind, LithoBackend};
 pub use components::{label_components, ComponentLabels};
 pub use contour::{contour_length, extract_contour, ContourSegment};
 pub use conv::{
-    convolve2d_direct, convolve_separable, convolve_separable_into, correlate_separable,
-    correlate_separable_into,
+    convolve2d_direct, convolve_separable, convolve_separable_into, convolve_separable_padded_into,
+    correlate_separable, correlate_separable_into,
 };
 pub use epe::{measure_epe, EpeCheckpoint, EpeReport, EpeSite};
 pub use fft::{convolve2d_fft, fft2d, ifft2d, Complex};

@@ -26,10 +26,16 @@ use ldmo_geom::Grid;
 /// and kernel evaluation ([`crate::CoherentKernel::field_into`]).
 #[derive(Debug, Clone)]
 pub struct ConvScratch {
-    /// Row-pass intermediate of a separable convolution.
+    /// Intermediate between the two passes of a separable convolution
+    /// (transposed on the SIMD backends; its length is `width · height`
+    /// either way).
     pub tmp: Grid,
     /// Per-component separable result, accumulated into a kernel's field.
     pub part: Grid,
+    /// Zero-padded source rows the passes read their taps from. Sized for
+    /// the grid up front, which covers the bank's profiles on every
+    /// backend, so no pass allocates at any grid size.
+    pub pad: Vec<f32>,
 }
 
 impl ConvScratch {
@@ -38,6 +44,7 @@ impl ConvScratch {
         ConvScratch {
             tmp: Grid::zeros(width, height),
             part: Grid::zeros(width, height),
+            pad: vec![0.0; crate::conv::strip_pad_len(width, height)],
         }
     }
 

@@ -13,7 +13,10 @@ use ldmo_litho::{simulate_print, simulate_print_batch, KernelBank, LithoConfig};
 use proptest::prelude::*;
 
 /// Small odd profiles exercising symmetric, asymmetric, negative-lobe and
-/// single-tap cases (the bank's own profiles are all odd-length).
+/// single-tap cases (the bank's own profiles are all odd-length), plus the
+/// paper bank's first and widest optical profiles. The widest (271 taps)
+/// is longer than most grids below, so whole tiles of it fall in the
+/// padding.
 fn test_profiles() -> Vec<Vec<f32>> {
     let mut profiles = vec![
         vec![1.0],
@@ -21,14 +24,19 @@ fn test_profiles() -> Vec<Vec<f32>> {
         vec![0.1, 0.2, 0.4, 0.2, 0.1],
         vec![0.05, -0.15, 0.3, 0.55, 0.2, -0.1, 0.05],
     ];
-    // a real optical profile from the paper bank's kernels
     let bank = KernelBank::paper_bank(&LithoConfig::default());
-    let kernel = &bank.kernels()[0];
-    let (_, profile) = kernel
-        .components()
-        .next()
+    let bank_profiles: Vec<&[f32]> = bank
+        .kernels()
+        .iter()
+        .flat_map(|k| k.components().map(|(_, p)| p))
+        .collect();
+    let widest = bank_profiles
+        .iter()
+        .max_by_key(|p| p.len())
         .expect("bank kernels have components");
-    profiles.push(profile.to_vec());
+    assert_eq!(widest.len(), 271, "the bank's widest profile");
+    profiles.push(bank_profiles[0].to_vec());
+    profiles.push(widest.to_vec());
     profiles
 }
 
@@ -64,11 +72,33 @@ fn dense_contacts(w: usize, h: usize) -> Grid {
     g
 }
 
+/// Bands of `+0.0` and `−0.0` (rows and columns) over a field of nonzero
+/// values: outputs whose every tap reads a signed zero must still match
+/// the reference, sign of zero included.
+fn signed_zero_bands(w: usize, h: usize) -> Grid {
+    let mut g = Grid::zeros(w, h);
+    let s = g.as_mut_slice();
+    for y in 0..h {
+        for x in 0..w {
+            s[y * w + x] = match (x % 23, y % 17) {
+                (0..=6, _) => -0.0,
+                (_, 0..=4) => 0.0,
+                (_, 5..=8) => -0.0,
+                _ => ((x * 7 + y * 3) % 11) as f32 * 0.125 - 0.5,
+            };
+        }
+    }
+    g
+}
+
+/// One separable pass on `b`, through dirty buffers: nothing left in
+/// `tmp`, `pad` or `out` may reach the result.
 fn run_backend(b: &dyn LithoBackend, input: &Grid, profile: &[f32]) -> Grid {
     let (w, h) = input.shape();
-    let mut tmp = Grid::zeros(w, h);
-    let mut out = Grid::zeros(w, h);
-    b.convolve_separable_into(input, profile, &mut tmp, &mut out);
+    let mut tmp = Grid::filled(w, h, f32::NAN);
+    let mut pad = vec![f32::NAN; 37];
+    let mut out = Grid::filled(w, h, f32::NAN);
+    b.convolve_separable_into(input, profile, &mut tmp, &mut pad, &mut out);
     out
 }
 
@@ -111,9 +141,13 @@ fn assert_conforms(input: &Grid, profile: &[f32], ctx: &str) {
     }
 }
 
-/// Grid shapes covering even, odd, mixed-parity, non-square, tile-remainder
-/// (not multiples of the 32-wide register block) and degenerate 1×N / N×1.
-const SHAPES: [(usize, usize); 8] = [
+/// Grid shapes covering even, odd, mixed-parity, non-square and degenerate
+/// 1×N / N×1 grids; the clip size (224²) and tall and wide grids with the
+/// bank's profiles; and sizes that leave remainders at every blocking
+/// level: the scalar passes' 32-wide tiles, the SIMD passes' 8-output
+/// tiles with single-output tails, and partial 16-, 8- and 4-row strips
+/// (101 = 3·32 + 5 = 12·8 + 5, 37 = 2·16 + 5).
+const SHAPES: [(usize, usize); 13] = [
     (64, 64),
     (33, 47),
     (31, 31),
@@ -122,6 +156,11 @@ const SHAPES: [(usize, usize); 8] = [
     (64, 1),
     (1, 1),
     (3, 3),
+    (224, 224),
+    (97, 161),
+    (161, 97),
+    (101, 37),
+    (37, 101),
 ];
 
 #[test]
@@ -141,6 +180,19 @@ fn straight_edge_conforms_on_all_backends() {
                 &straight_edge(w, h),
                 &profile,
                 &format!("straight edge {w}x{h}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn signed_zero_bands_conform_on_all_backends() {
+    for &(w, h) in &SHAPES {
+        for profile in test_profiles() {
+            assert_conforms(
+                &signed_zero_bands(w, h),
+                &profile,
+                &format!("signed-zero bands {w}x{h}"),
             );
         }
     }
@@ -168,13 +220,14 @@ fn full_print_is_bit_identical_across_backends() {
     let mask = dense_contacts(96, 96);
     let all = registry();
     let mut tmp = Grid::zeros(96, 96);
+    let mut pad = Vec::new();
     let mut out = Grid::zeros(96, 96);
     // reference print under the scalar backend, via the public trait
     let reference = {
         // simulate_print routes through the process-global backend; the
         // per-pass trait calls below are backend-explicit instead
         let (_, profile) = bank.kernels()[0].components().next().expect("components");
-        all[0].convolve_separable_into(&mask, profile, &mut tmp, &mut out);
+        all[0].convolve_separable_into(&mask, profile, &mut tmp, &mut pad, &mut out);
         simulate_print(&mask, &bank, &cfg)
     };
     // batch path: three masks in one pass, bit-identical per mask
@@ -294,11 +347,11 @@ proptest! {
 
     #[test]
     fn random_grids_conform_on_all_backends(
-        w in 1usize..40,
-        h in 1usize..40,
-        vals in proptest::collection::vec(-1.0f32..1.0, 1600),
-        taps in proptest::collection::vec(-0.5f32..0.5, 13),
-        half_width in 0usize..6,
+        w in 1usize..100,
+        h in 1usize..100,
+        vals in proptest::collection::vec(-1.0f32..1.0, 10_000),
+        taps in proptest::collection::vec(-0.5f32..0.5, 81),
+        half_width in 0usize..40,
     ) {
         let grid = Grid::from_vec(w, h, vals[..w * h].to_vec());
         let profile = &taps[..2 * half_width + 1];
