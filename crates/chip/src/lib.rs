@@ -8,9 +8,10 @@
 //! optical interaction radius of the kernel bank — beyond that radius the
 //! kernels are identically zero, so patterns outside a tile's haloed
 //! window contribute nothing to the print inside its core. Each tile runs
-//! the full decomposition-selection + ILT flow independently on the
-//! `ldmo-par` pool (recycled per-worker scratch, batched ranking under the
-//! batched backend), and the per-tile masks are stitched back into one
+//! the shared selection ladder (`ldmo_core::ladder`: proxy ranking, ILT
+//! attempts, completion, drawn-mask fallback) independently on the
+//! `ldmo-par` pool, one recycled scratch per worker, and the per-tile
+//! masks are stitched back into one
 //! chip mask under a deterministic ownership rule: every chip pixel is
 //! owned by exactly one tile (the tile whose core contains it — cores
 //! partition the chip, so the lowest-index tile tiebreak never actually

@@ -3,15 +3,13 @@
 
 use crate::stitch::stitch_masks;
 use crate::tiles::{halo_nm, px_quantum, snap_up, Tile, TileGrid};
-use ldmo_core::score::{printability_score, ScoreWeights};
+use ldmo_core::ladder::{self, Ladder, Rung, SelectionStrategy};
+use ldmo_core::score::ScoreWeights;
 use ldmo_decomp::{generate_candidates, DecompConfig};
 use ldmo_geom::Grid;
-use ldmo_guard::{penalty_score, DegradeReason, OutcomeHealth};
-use ldmo_ilt::{IltConfig, IltContext, IltOutcome, IltScratch, ViolationPolicy};
-use ldmo_layout::{Layout, MaskAssignment};
-use ldmo_litho::backend::resolved_kind;
-use ldmo_litho::BackendKind;
-use std::collections::HashSet;
+use ldmo_guard::{DegradeReason, OutcomeHealth};
+use ldmo_ilt::{IltConfig, IltContext, IltOutcome, IltScratch};
+use ldmo_layout::Layout;
 use std::time::{Duration, Instant};
 
 /// Configuration of a tiled chip run.
@@ -99,6 +97,9 @@ pub struct TileSummary {
     /// Guard verdict of the accepted run. `Degraded` means the tile fell
     /// back to its unoptimized drawn-decomposition mask.
     pub health: OutcomeHealth,
+    /// The ladder rung that produced the tile's masks (`None` for empty
+    /// tiles, which climb no ladder).
+    pub rung: Option<Rung>,
 }
 
 /// Result of a tiled chip run.
@@ -149,10 +150,17 @@ pub fn run_chip(layout: &Layout, cfg: &ChipConfig) -> ChipOutcome {
 
     let tiles_start = Instant::now();
     let pool = ldmo_par::global();
+    let ladder = Ladder {
+        ctx: &ctx,
+        weights: cfg.weights,
+        max_attempts: cfg.max_attempts,
+        candidate_deadline: None,
+        pool: None,
+    };
     let results = pool.par_map_init_catching(
         &tiles,
         || None::<IltScratch>,
-        |scratch, tile| process_tile(layout, tile, &grid, cfg, &ctx, scratch),
+        |scratch, tile| process_tile(layout, tile, &grid, cfg, &ladder, scratch),
     );
     // a panicked worker loses one tile, not the chip: rebuild that tile's
     // slot serially from its unoptimized drawn decomposition, marked
@@ -228,21 +236,20 @@ fn owned_epe(out: &IltOutcome, owned: &[bool]) -> usize {
         .count()
 }
 
-/// The full per-tile pipeline: extract the haloed window, generate and
-/// rank decomposition candidates by the litho proxy, attempt the best
-/// ones under the abort policy, fall back to completing the best-ranked
-/// one, and degrade to the unoptimized drawn mask when the accepted run
-/// is unhealthy (budget exhausted, divergence limit, …).
+/// The full per-tile pipeline: extract the haloed window, generate the
+/// decomposition candidates and climb the shared ladder with the litho
+/// proxy (DESIGN.md §15). Ownership-aware EPE is counted here, after the
+/// ladder, on whichever outcome it produced.
 fn process_tile(
     layout: &Layout,
     tile: &Tile,
     grid: &TileGrid,
     cfg: &ChipConfig,
-    ctx: &IltContext,
+    ladder: &Ladder<'_>,
     scratch: &mut Option<IltScratch>,
 ) -> TileResult {
     // the chip fan-out's fault-injection point, keyed by tile index like
-    // the flow's candidate tasks: a planned panic here is contained by
+    // the ladder's candidate tasks: a planned panic here is contained by
     // the catching pool map and rebuilt by `panicked_tile`
     ldmo_guard::fault::apply_stall(tile.index);
     ldmo_guard::fault::maybe_panic(tile.index);
@@ -259,104 +266,41 @@ fn process_tile(
             summary: empty_summary(tile.index),
         };
     }
-    let owned = owned_flags(&sub, tile, grid);
     let candidates = generate_candidates(&sub, &cfg.decomp);
     span.set("candidates", candidates.len() as f64);
-    let order = rank(&sub, &candidates, cfg, ctx, scratch);
-
-    let abort_ctx = ctx.with_config(&IltConfig {
-        policy: ViolationPolicy::AbortOnViolation,
-        ..cfg.ilt.clone()
-    });
-    let mut rejected: HashSet<MaskAssignment> = HashSet::new();
-    let mut attempts = 0usize;
-    let mut accepted: Option<(usize, IltOutcome)> = None;
-    for &ci in order.iter().take(cfg.max_attempts.max(1)) {
-        let cand = &candidates[ci];
-        if rejected.contains(cand) {
-            continue;
-        }
-        attempts += 1;
-        let out = abort_ctx.optimize_reusing(&sub, cand, scratch);
-        if out.aborted_at.is_none() {
-            accepted = Some((ci, out));
-            break;
-        }
-        rejected.insert(cand.clone());
-    }
-    let (ci, out) = accepted.unwrap_or_else(|| {
-        // every attempt aborted: complete the best-ranked candidate fully
-        attempts += 1;
-        (
-            order[0],
-            ctx.optimize_reusing(&sub, &candidates[order[0]], scratch),
-        )
-    });
-
-    // budget-degradation semantics: an unhealthy accepted run falls back
-    // to the drawn decomposition's unoptimized mask — a safe, always-
-    // printable-as-drawn result — and stays marked degraded
-    let (masks, epe_owned) = if out.health.is_degraded() {
+    let climb = ladder.run(
+        &sub,
+        &candidates,
+        &mut SelectionStrategy::LithoProxy,
+        None,
+        scratch,
+    );
+    let out = climb.outcome;
+    if out.health.is_degraded() {
         ldmo_obs::incr("chip.tiles_degraded");
-        let un = ctx.evaluate_unoptimized_reusing(&sub, &candidates[ci], scratch);
-        (un.masks.clone(), owned_epe(&un, &owned))
-    } else {
-        (out.masks.clone(), owned_epe(&out, &owned))
-    };
+    }
+    let epe_owned = owned_epe(&out, &owned_flags(&sub, tile, grid));
     span.set("iterations", out.iterations_run as f64);
     span.set("epe", epe_owned as f64);
     span.set("degraded", if out.health.is_degraded() { 1.0 } else { 0.0 });
+    span.set("rung", f64::from(climb.rung as u8));
     TileResult {
-        masks: Some(masks),
         summary: TileSummary {
             index: tile.index,
             patterns: sub.len(),
             candidates: candidates.len(),
-            attempts,
+            attempts: climb.attempts,
             iterations: out.iterations_run,
             epe_owned,
             health: out.health,
+            rung: Some(climb.rung),
         },
+        masks: Some(out.masks),
     }
 }
 
-/// Litho-proxy candidate ranking for one tile (best first). Uses the
-/// batched evaluator under the batched backend — one kernel-bank pass per
-/// tile instead of per candidate — which is bit-identical to the
-/// per-candidate path, so the ranking is backend-invariant.
-fn rank(
-    sub: &Layout,
-    candidates: &[MaskAssignment],
-    cfg: &ChipConfig,
-    ctx: &IltContext,
-    scratch: &mut Option<IltScratch>,
-) -> Vec<usize> {
-    let score = |out: &IltOutcome| -> f64 {
-        if let OutcomeHealth::Degraded { reason } = out.health {
-            penalty_score(reason)
-        } else {
-            printability_score(out, &cfg.weights)
-        }
-    };
-    let scores: Vec<f64> = if resolved_kind() == BackendKind::Batched && candidates.len() > 1 {
-        let assignments: Vec<&[u8]> = candidates.iter().map(|c| c.as_slice()).collect();
-        ctx.evaluate_unoptimized_batch(sub, &assignments)
-            .iter()
-            .map(score)
-            .collect()
-    } else {
-        candidates
-            .iter()
-            .map(|c| score(&ctx.evaluate_unoptimized_reusing(sub, c, scratch)))
-            .collect()
-    };
-    let mut scored: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
-    scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-    scored.into_iter().map(|(i, _)| i).collect()
-}
-
-/// Serial replacement for a tile whose pool worker panicked: the first
-/// generated candidate's unoptimized drawn mask, marked degraded.
+/// Serial replacement for a tile whose pool worker panicked: the ladder's
+/// drawn rung on the first generated candidate, marked degraded.
 fn panicked_tile(
     layout: &Layout,
     tile: &Tile,
@@ -371,23 +315,26 @@ fn panicked_tile(
             summary: empty_summary(tile.index),
         };
     }
-    let owned = owned_flags(&sub, tile, grid);
     let candidates = generate_candidates(&sub, &cfg.decomp);
-    let out = ctx.evaluate_unoptimized(&sub, &candidates[0]);
-    let epe_owned = owned_epe(&out, &owned);
+    let out = ladder::drawn(
+        ctx,
+        &sub,
+        &candidates[0],
+        DegradeReason::WorkerPanic,
+        &mut None,
+    );
     TileResult {
-        masks: Some(out.masks.clone()),
         summary: TileSummary {
             index: tile.index,
             patterns: sub.len(),
             candidates: candidates.len(),
             attempts: 0,
             iterations: 0,
-            epe_owned,
-            health: OutcomeHealth::Degraded {
-                reason: DegradeReason::WorkerPanic,
-            },
+            epe_owned: owned_epe(&out, &owned_flags(&sub, tile, grid)),
+            health: out.health,
+            rung: Some(Rung::Drawn),
         },
+        masks: Some(out.masks),
     }
 }
 
@@ -400,6 +347,7 @@ fn empty_summary(index: usize) -> TileSummary {
         iterations: 0,
         epe_owned: 0,
         health: OutcomeHealth::Clean,
+        rung: None,
     }
 }
 

@@ -2,57 +2,27 @@
 //!
 //! `input layout → decomposition generation → printability prediction →
 //! ILT optimization → optimized masks`, with the feedback edge: when a
-//! print violation is detected during ILT, the offending candidate is
-//! marked rejected and the next-best candidate is selected.
+//! print violation aborts ILT on a candidate, the next-best candidate is
+//! tried. Everything after candidate generation is the shared
+//! [`crate::ladder::Ladder`].
 
-use crate::predictor::PrintabilityPredictor;
-use crate::score::{printability_score, ScoreWeights};
+use crate::ladder::{Ladder, StagePeak};
+use crate::score::ScoreWeights;
 use ldmo_decomp::{generate_candidates, DecompConfig};
-use ldmo_guard::{fault, penalty_score, DegradeReason};
-use ldmo_ilt::{IltConfig, IltContext, IltOutcome, ViolationPolicy};
+use ldmo_ilt::{IltConfig, IltContext, IltOutcome};
 use ldmo_layout::{Layout, MaskAssignment};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-/// How the flow selects among decomposition candidates — the paper's CNN
-/// plus the ablation strategies of DESIGN.md §4.
-pub enum SelectionStrategy {
-    /// The paper's method: a trained CNN printability predictor.
-    Cnn(Box<PrintabilityPredictor>),
-    /// Rank candidates by the Eq. 9 score of their *unoptimized* print —
-    /// a cheap lithography proxy (one forward simulation per candidate,
-    /// no ILT).
-    LithoProxy,
-    /// Uniform random selection.
-    Random {
-        /// Selection seed.
-        seed: u64,
-    },
-    /// Take candidates in generation order.
-    First,
-}
-
-impl std::fmt::Debug for SelectionStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SelectionStrategy::Cnn(_) => write!(f, "Cnn(..)"),
-            SelectionStrategy::LithoProxy => write!(f, "LithoProxy"),
-            SelectionStrategy::Random { seed } => write!(f, "Random {{ seed: {seed} }}"),
-            SelectionStrategy::First => write!(f, "First"),
-        }
-    }
-}
+pub use crate::ladder::{Rung, SelectionStrategy};
 
 /// Flow configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
     /// Candidate generation (Algorithm 1).
     pub decomp: DecompConfig,
-    /// ILT engine; the flow forces [`ViolationPolicy::AbortOnViolation`]
-    /// during candidate attempts.
+    /// ILT engine; the ladder forces
+    /// [`ldmo_ilt::ViolationPolicy::AbortOnViolation`] during candidate
+    /// attempts.
     pub ilt: IltConfig,
     /// Eq. 9 weights used by the `LithoProxy` strategy.
     pub weights: ScoreWeights,
@@ -62,9 +32,9 @@ pub struct FlowConfig {
     /// Wall-clock deadline for ranking one candidate. A candidate that
     /// blows it is not scored — it receives the deterministic
     /// [`ldmo_guard::penalty_score`] for
-    /// [`DegradeReason::BudgetExhausted`], so one pathological candidate
-    /// cannot stall the whole selection. `None` (the default) keeps
-    /// ranking fully deterministic.
+    /// [`ldmo_guard::DegradeReason::BudgetExhausted`], so one pathological
+    /// candidate cannot stall the whole selection. `None` (the default)
+    /// keeps ranking fully deterministic.
     pub candidate_deadline: Option<Duration>,
 }
 
@@ -87,7 +57,7 @@ pub struct FlowTiming {
     /// Decomposition-selection time: candidate generation + scoring +
     /// aborted ILT attempts.
     pub decomposition_selection: Duration,
-    /// Mask-optimization time: the successful ILT run.
+    /// Mask-optimization time: the ladder rung that produced the masks.
     pub mask_optimization: Duration,
 }
 
@@ -127,10 +97,12 @@ pub struct FlowResult {
     pub assignment: MaskAssignment,
     /// The final ILT outcome.
     pub outcome: IltOutcome,
-    /// Candidates attempted (1 = the first choice succeeded).
+    /// ILT runs made (1 = the first choice succeeded).
     pub attempts: usize,
     /// Number of candidates generated.
     pub candidates: usize,
+    /// The ladder rung that produced `outcome`.
+    pub rung: Rung,
     /// Wall-clock breakdown.
     pub timing: FlowTiming,
 }
@@ -140,34 +112,6 @@ pub struct LdmoFlow {
     cfg: FlowConfig,
     strategy: SelectionStrategy,
     pool: ldmo_par::ThreadPool,
-}
-
-/// Per-stage peak-heap attribution: resets the counting allocator's
-/// high-water mark at stage start and stamps the stage's own peak onto its
-/// span at the end. Active only when the binary installed
-/// `ldmo_obs::alloc::CountingAlloc` *and* the collector is on — otherwise
-/// every call is a no-op, keeping unprofiled runs free.
-struct StagePeak {
-    on: bool,
-}
-
-impl StagePeak {
-    fn start(on: bool) -> StagePeak {
-        if on {
-            ldmo_obs::alloc::reset_peak();
-        }
-        StagePeak { on }
-    }
-
-    /// Stamps `peak_kb` on the stage span and folds it into the run-level
-    /// maximum.
-    fn finish(self, span: &mut ldmo_obs::Span, run_peak_kb: &mut f64) {
-        if self.on {
-            let kb = ldmo_obs::alloc::peak_bytes() as f64 / 1024.0;
-            span.set("peak_kb", kb);
-            *run_peak_kb = run_peak_kb.max(kb);
-        }
-    }
 }
 
 impl LdmoFlow {
@@ -213,7 +157,7 @@ impl LdmoFlow {
         root.set("patterns", layout.len() as f64);
         root.set("pool", self.pool.threads() as f64);
         // which litho backend executes this run's convolutions
-        // (BackendKind::code: 1 scalar, 2 simd, 3 batched)
+        // (BackendKind::code: 1 scalar, 2 simd)
         root.set(
             "backend",
             f64::from(ldmo_litho::backend::resolved_kind().code()),
@@ -235,99 +179,32 @@ impl LdmoFlow {
             s.set("candidates", candidates.len() as f64);
             candidates
         };
-        assert!(!candidates.is_empty(), "no decomposition candidates");
-        let order = {
-            let mut s = ldmo_obs::span("flow.rank");
-            let peak = StagePeak::start(mem);
-            let order = self.rank_candidates(layout, &candidates, &ctx);
-            peak.finish(&mut s, &mut run_peak_kb);
-            order
-        };
-
-        if let SelectionStrategy::Cnn(p) = &mut self.strategy {
-            p.clear_rejections();
-        }
-
-        let abort_ctx = ctx.with_config(&IltConfig {
-            policy: ViolationPolicy::AbortOnViolation,
-            ..self.cfg.ilt.clone()
-        });
-        let mut rejected: HashSet<MaskAssignment> = HashSet::new();
-        let mut attempts = 0usize;
-        for &ci in order.iter().take(self.cfg.max_attempts.max(1)) {
-            let cand = &candidates[ci];
-            if rejected.contains(cand) {
-                continue;
-            }
-            attempts += 1;
-            let mut s = ldmo_obs::span("flow.ilt_attempt");
-            s.set("attempt", attempts as f64);
-            s.set("candidate", ci as f64);
-            let peak = StagePeak::start(mem);
-            let outcome = abort_ctx.optimize(layout, cand);
-            let aborted = outcome.aborted_at.is_some();
-            peak.finish(&mut s, &mut run_peak_kb);
-            s.set("aborted", if aborted { 1.0 } else { 0.0 });
-            let attempt_time = s.elapsed();
-            drop(s);
-            if !aborted {
-                let timing = FlowTiming::from_total(run_start.elapsed(), attempt_time);
-                Self::stamp_root(&mut root, attempts, &timing, mem, run_peak_kb);
-                return FlowResult {
-                    assignment: cand.clone(),
-                    outcome,
-                    attempts,
-                    candidates: candidates.len(),
-                    timing,
-                };
-            }
-            // the aborted attempt is selection overhead, not optimization —
-            // it counts into decomposition_selection via the total
-            if ldmo_obs::enabled() {
-                ldmo_obs::counter("flow.rejections").incr();
-            }
-            rejected.insert(cand.clone());
-            if let SelectionStrategy::Cnn(p) = &mut self.strategy {
-                p.reject(cand);
-            }
-        }
-        // every attempt aborted: complete the best-ranked candidate fully
-        let fallback = &candidates[order[0]];
-        let mut s = ldmo_obs::span("flow.ilt_final");
-        let peak = StagePeak::start(mem);
-        let outcome = ctx.optimize(layout, fallback);
-        peak.finish(&mut s, &mut run_peak_kb);
-        let mo_time = s.elapsed();
-        drop(s);
-        let timing = FlowTiming::from_total(run_start.elapsed(), mo_time);
-        Self::stamp_root(&mut root, attempts + 1, &timing, mem, run_peak_kb);
-        FlowResult {
-            assignment: fallback.clone(),
-            outcome,
-            attempts: attempts + 1,
-            candidates: candidates.len(),
-            timing,
-        }
-    }
-
-    /// Final metadata on the `flow.run` span: attempt count, the
-    /// [`FlowTiming`] buckets in microseconds (`sel_us` + `opt_us` must
-    /// reconcile with the span's own duration — `ldmo trace summarize
-    /// --reconcile` enforces it within 1%), and the run's peak heap when
-    /// memory profiling is active. With the backend tag set at run start
-    /// this uses 7 of the collector's [`ldmo_obs::MAX_SPAN_META`] slots.
-    fn stamp_root(
-        root: &mut ldmo_obs::Span,
-        attempts: usize,
-        timing: &FlowTiming,
-        mem: bool,
-        run_peak_kb: f64,
-    ) {
-        root.set("attempts", attempts as f64);
+        let climb = Self::ladder(&self.cfg, &self.pool, &ctx).run(
+            layout,
+            &candidates,
+            &mut self.strategy,
+            None,
+            &mut None,
+        );
+        let timing = FlowTiming::from_total(run_start.elapsed(), climb.optimize_time);
+        // the FlowTiming buckets in microseconds: `sel_us` + `opt_us` must
+        // reconcile with the span's own duration (`ldmo trace summarize
+        // --reconcile` enforces it within 1%); with memory profiling this
+        // fills all 8 of the collector's ldmo_obs::MAX_SPAN_META slots
+        root.set("attempts", climb.attempts as f64);
+        root.set("rung", f64::from(climb.rung as u8));
         root.set("sel_us", timing.decomposition_selection.as_micros() as f64);
         root.set("opt_us", timing.mask_optimization.as_micros() as f64);
         if mem {
-            root.set("peak_kb", run_peak_kb);
+            root.set("peak_kb", run_peak_kb.max(climb.peak_kb));
+        }
+        FlowResult {
+            assignment: candidates[climb.candidate].clone(),
+            outcome: climb.outcome,
+            attempts: climb.attempts,
+            candidates: candidates.len(),
+            rung: climb.rung,
+            timing,
         }
     }
 
@@ -341,148 +218,33 @@ impl LdmoFlow {
         candidates: &[MaskAssignment],
         ctx: &IltContext,
     ) -> Vec<usize> {
-        match &mut self.strategy {
-            SelectionStrategy::Cnn(p) => p.rank(layout, candidates),
-            SelectionStrategy::LithoProxy => {
-                // one forward simulation per candidate, fanned over the
-                // pool; scores are keyed by candidate index, so the sort
-                // below sees exactly the serial ordering. The catching fan
-                // converts a panicking candidate into a penalized slot
-                // instead of unwinding the whole ranking, and a candidate
-                // that blows the per-candidate deadline (or comes back
-                // degraded) gets the same deterministic penalty treatment.
-                // Under the batched backend the forward simulations run in
-                // chunks instead (same scores, amortized kernel loads).
-                let batched =
-                    ldmo_litho::backend::resolved_kind() == ldmo_litho::BackendKind::Batched;
-                let scores = if batched {
-                    self.batched_scores(layout, candidates, ctx)
-                } else {
-                    let weights = self.cfg.weights;
-                    let deadline = self.cfg.candidate_deadline;
-                    let indexed: Vec<(usize, &MaskAssignment)> =
-                        candidates.iter().enumerate().collect();
-                    let results = self.pool.par_map_init_catching(
-                        &indexed,
-                        || None::<ldmo_ilt::IltScratch>,
-                        |scratch, &(i, c)| {
-                            // the stall injection simulates a slow candidate,
-                            // so it must land inside the timed window
-                            let started = Instant::now();
-                            fault::apply_stall(i);
-                            fault::maybe_panic(i);
-                            let out = ctx.evaluate_unoptimized_reusing(layout, c, scratch);
-                            if let ldmo_ilt::OutcomeHealth::Degraded { reason } = out.health {
-                                ldmo_obs::incr("guard.candidate_penalized");
-                                return penalty_score(reason);
-                            }
-                            if deadline.is_some_and(|d| started.elapsed() > d) {
-                                ldmo_obs::incr("guard.candidate_penalized");
-                                return penalty_score(DegradeReason::BudgetExhausted);
-                            }
-                            printability_score(&out, &weights)
-                        },
-                    );
-                    results
-                        .into_iter()
-                        .map(|r| {
-                            r.unwrap_or_else(|_| {
-                                ldmo_obs::incr("guard.candidate_penalized");
-                                penalty_score(DegradeReason::WorkerPanic)
-                            })
-                        })
-                        .collect()
-                };
-                let mut scored: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
-                scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-                scored.into_iter().map(|(i, _)| i).collect()
-            }
-            SelectionStrategy::Random { seed } => {
-                let mut rng = StdRng::seed_from_u64(*seed);
-                let mut order: Vec<usize> = (0..candidates.len()).collect();
-                order.shuffle(&mut rng);
-                order
-            }
-            SelectionStrategy::First => (0..candidates.len()).collect(),
-        }
+        Self::ladder(&self.cfg, &self.pool, ctx).rank(
+            layout,
+            candidates,
+            &mut self.strategy,
+            &mut None,
+        )
     }
 
-    /// `LithoProxy` scores under [`ldmo_litho::BackendKind::Batched`]:
-    /// candidates are pushed through the kernel bank in fixed-size chunks
-    /// via [`IltContext::evaluate_unoptimized_batch`], so every kernel's
-    /// expansion is loaded once per chunk instead of once per candidate.
-    ///
-    /// Three phases keep the scalar path's fault semantics intact:
-    ///
-    /// 1. the per-candidate fault window (stall/panic injection) runs under
-    ///    per-item panic isolation, so a panic penalizes exactly the
-    ///    offending candidate and a stall is charged to its own deadline;
-    /// 2. survivors are chunked by candidate index (boundaries independent
-    ///    of thread count) and each chunk is evaluated in one batch, its
-    ///    wall time divided evenly among its candidates — queue wait for
-    ///    *other* chunks is never charged;
-    /// 3. scores are assembled in candidate index order, applying the same
-    ///    penalty rules as the per-candidate path.
-    ///
-    /// Scores are bit-identical to the per-candidate path (the batch
-    /// evaluator is bit-exact), so the returned ranking only differs where
-    /// wall-clock deadlines fire.
-    fn batched_scores(
-        &self,
-        layout: &Layout,
-        candidates: &[MaskAssignment],
-        ctx: &IltContext,
-    ) -> Vec<f64> {
-        const RANK_BATCH: usize = 8;
-        let weights = self.cfg.weights;
-        let deadline = self.cfg.candidate_deadline;
-        let indices: Vec<usize> = (0..candidates.len()).collect();
-        let prep = self.pool.par_map_catching(&indices, |&i| {
-            let started = Instant::now();
-            fault::apply_stall(i);
-            fault::maybe_panic(i);
-            started.elapsed()
-        });
-        let survivors: Vec<usize> = prep
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.is_ok().then_some(i))
-            .collect();
-        let chunks: Vec<&[usize]> = survivors.chunks(RANK_BATCH).collect();
-        let evaluated = self.pool.par_map(&chunks, |chunk| {
-            let started = Instant::now();
-            let assignments: Vec<&[u8]> = chunk.iter().map(|&i| candidates[i].as_slice()).collect();
-            let outs = ctx.evaluate_unoptimized_batch(layout, &assignments);
-            (outs, started.elapsed() / chunk.len() as u32)
-        });
-        let mut scores = vec![0.0f64; candidates.len()];
-        for (i, r) in prep.iter().enumerate() {
-            if r.is_err() {
-                ldmo_obs::incr("guard.candidate_penalized");
-                scores[i] = penalty_score(DegradeReason::WorkerPanic);
-            }
+    fn ladder<'a>(
+        cfg: &FlowConfig,
+        pool: &'a ldmo_par::ThreadPool,
+        ctx: &'a IltContext,
+    ) -> Ladder<'a> {
+        Ladder {
+            ctx,
+            weights: cfg.weights,
+            max_attempts: cfg.max_attempts,
+            candidate_deadline: cfg.candidate_deadline,
+            pool: Some(pool),
         }
-        for (chunk, (outs, share)) in chunks.iter().zip(evaluated) {
-            for (&i, out) in chunk.iter().zip(outs) {
-                let prep_time = match &prep[i] {
-                    Ok(d) => *d,
-                    Err(_) => continue,
-                };
-                scores[i] = if deadline.is_some_and(|d| prep_time + share > d) {
-                    ldmo_obs::incr("guard.candidate_penalized");
-                    penalty_score(DegradeReason::BudgetExhausted)
-                } else {
-                    printability_score(&out, &weights)
-                };
-            }
-        }
-        scores
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::PrintabilityPredictor;
     use ldmo_geom::Rect;
 
     fn quad_layout(gap: i32) -> Layout {

@@ -24,6 +24,8 @@
 //!   plus the random-sampling ablation of Fig. 8;
 //! - [`dataset`] — training-set construction with ILT labeling (Fig. 5);
 //! - [`trainer`] — Adam + MAE training loop (Section IV-C);
+//! - [`ladder`] — the rank → attempt → complete-best → retry → drawn
+//!   selection ladder that the flow, `ldmo-chip` and `ldmo-serve` share;
 //! - [`flow`] — the end-to-end [`flow::LdmoFlow`] with selection-strategy
 //!   ablations and the violation-triggered reselection loop;
 //! - [`baselines`] — the comparison flows of Table I: the ICCAD'17 unified
@@ -43,6 +45,7 @@
 pub mod baselines;
 pub mod dataset;
 pub mod flow;
+pub mod ladder;
 pub mod predictor;
 pub mod sampling;
 pub mod score;

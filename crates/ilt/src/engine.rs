@@ -11,8 +11,8 @@ use ldmo_geom::Grid;
 use ldmo_guard::{fault, sampled_finite, Budget, DegradeReason, GuardPolicy, OutcomeHealth};
 use ldmo_layout::Layout;
 use ldmo_litho::{
-    combine_double_pattern, detect_violations, measure_epe, simulate_print, simulate_print_batch,
-    EpeReport, KernelBank, LithoConfig, LithoWorkspace, ViolationReport,
+    combine_double_pattern, detect_violations, measure_epe, simulate_print, EpeReport, KernelBank,
+    LithoConfig, LithoWorkspace, ViolationReport,
 };
 use std::sync::Arc;
 
@@ -293,80 +293,6 @@ impl IltContext {
         *scratch = Some(session.into_scratch());
         span.set("epe", outcome.epe_violations() as f64);
         outcome
-    }
-
-    /// Forward-only evaluation of several decompositions of one layout in
-    /// a single pass: all masks are rasterized up front and pushed through
-    /// the kernel bank together via [`ldmo_litho::simulate_print_batch`],
-    /// so each kernel's expansion is visited once per *batch* instead of
-    /// once per candidate. Bit-identical to calling
-    /// [`IltContext::evaluate_unoptimized`] per candidate (the per-mask
-    /// accumulation order over kernels is unchanged); outcomes carry an
-    /// empty trajectory and `iterations_run == 0`, exactly like the
-    /// session path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignments` is empty, or any assignment fails the
-    /// session invariants (length, mask indices 0/1).
-    pub fn evaluate_unoptimized_batch(
-        &self,
-        layout: &Layout,
-        assignments: &[&[u8]],
-    ) -> Vec<IltOutcome> {
-        assert!(!assignments.is_empty(), "batch must be non-empty");
-        let mut span = ldmo_obs::span("ilt.evaluate_batch");
-        span.set("candidates", assignments.len() as f64);
-        let scale = self.cfg.litho.nm_per_px;
-        let target = layout.rasterize_target(scale);
-        // Two binarized masks per candidate, in candidate order. The
-        // session path inits P = ±p0 from the raster and binarizes P > 0;
-        // composing the two maps gives exactly `raster > 0.5`.
-        let mut masks = Vec::with_capacity(assignments.len() * 2);
-        for assignment in assignments {
-            for mask_idx in 0..2u8 {
-                let raster = layout
-                    .rasterize_mask(assignment, mask_idx, scale)
-                    .expect("assignment must cover every pattern");
-                masks.push(raster.map(|v| if v > 0.5 { 1.0 } else { 0.0 }));
-            }
-        }
-        let prints = simulate_print_batch(&masks, &self.bank, &self.cfg.litho);
-        let mut masks = masks.into_iter();
-        let mut prints = prints.into_iter();
-        let mut outcomes = Vec::with_capacity(assignments.len());
-        for _ in assignments {
-            let m1 = masks.next().expect("two masks per candidate");
-            let m2 = masks.next().expect("two masks per candidate");
-            let t1 = prints.next().expect("two prints per candidate");
-            let t2 = prints.next().expect("two prints per candidate");
-            let printed = combine_double_pattern(&t1, &t2);
-            let epe = measure_epe(&printed, layout.patterns(), &self.cfg.litho);
-            let l2 = printed.l2_dist_sq(&target).expect("shapes match");
-            let violations = detect_violations(
-                &printed,
-                layout.patterns(),
-                self.cfg.litho.print_level,
-                self.cfg.litho.nm_per_px,
-            );
-            outcomes.push(IltOutcome {
-                masks: [m1, m2],
-                printed,
-                epe,
-                l2,
-                violations,
-                trajectory: Vec::new(),
-                aborted_at: None,
-                iterations_run: 0,
-                health: OutcomeHealth::Clean,
-                rollbacks: 0,
-            });
-        }
-        span.set(
-            "epe",
-            outcomes.iter().map(|o| o.epe_violations()).sum::<usize>() as f64,
-        );
-        outcomes
     }
 }
 
@@ -1000,31 +926,6 @@ mod tests {
         let out = optimize(&layout, &[0, 1], &cfg);
         assert_eq!(out.trajectory.len(), 6);
         assert!(out.trajectory.iter().all(|s| s.epe_violations.is_some()));
-    }
-
-    #[test]
-    fn batch_evaluation_matches_sessions_bit_exactly() {
-        // evaluate_unoptimized_batch must reproduce the per-session path
-        // bit for bit — the batched kernel-major loop reorders work across
-        // masks but never within one mask's accumulation.
-        let layout = quad_layout(60);
-        let ctx = IltContext::new(&fast_cfg());
-        let candidates: [&[u8]; 3] = [&[0, 1, 1, 0], &[0, 0, 1, 1], &[1, 0, 0, 1]];
-        let batch = ctx.evaluate_unoptimized_batch(&layout, &candidates);
-        assert_eq!(batch.len(), candidates.len());
-        let mut scratch = None;
-        for (got, assignment) in batch.iter().zip(candidates) {
-            let want = ctx.evaluate_unoptimized_reusing(&layout, assignment, &mut scratch);
-            assert_eq!(got.l2.to_bits(), want.l2.to_bits());
-            assert_eq!(got.epe_violations(), want.epe_violations());
-            assert_eq!(got.violations.count(), want.violations.count());
-            assert_eq!(got.printed.as_slice(), want.printed.as_slice());
-            assert_eq!(got.masks[0].as_slice(), want.masks[0].as_slice());
-            assert_eq!(got.masks[1].as_slice(), want.masks[1].as_slice());
-            assert_eq!(got.iterations_run, 0);
-            assert!(got.trajectory.is_empty());
-            assert_eq!(got.health, OutcomeHealth::Clean);
-        }
     }
 
     #[test]

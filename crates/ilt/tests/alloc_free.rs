@@ -53,14 +53,13 @@ fn step_one_is_allocation_free_after_warmup() {
         "the counting allocator must have observed the setup allocations"
     );
     // Every backend must keep the hot loop allocation-free — the SIMD
-    // passes use the same caller-owned buffers as scalar, and the batched
-    // backend's per-pass arithmetic is the SIMD path. One loop in one test:
+    // passes use the same caller-owned buffers as scalar. One loop in one test:
     // the counting allocator is process-global, so parallel per-backend
     // tests would observe each other's setup allocations.
     use ldmo_litho::backend::{self, BackendKind};
     let prev = backend::backend_kind();
     for (name, layout) in [("clip", &clip), ("wide", &wide)] {
-        for kind in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Batched] {
+        for kind in [BackendKind::Scalar, BackendKind::Simd] {
             backend::set_backend(kind);
             let mut session = IltSession::new(
                 layout,

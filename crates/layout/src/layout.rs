@@ -62,6 +62,21 @@ impl Layout {
         (w.max(1), h.max(1))
     }
 
+    /// Checks that rasterizing at `nm_per_px` stays within
+    /// [`crate::MAX_RASTER_PX`] pixels, before any raster is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LayoutError::RasterTooLarge`] when the raster would exceed
+    /// the cap.
+    pub fn check_raster_extent(&self, nm_per_px: f64) -> Result<(), LayoutError> {
+        let (width, height) = self.grid_shape(nm_per_px);
+        if width.saturating_mul(height) > crate::MAX_RASTER_PX {
+            return Err(LayoutError::RasterTooLarge { width, height });
+        }
+        Ok(())
+    }
+
     /// Converts a pattern rect (nm, window coordinates) to pixel coordinates.
     fn to_px(&self, r: &Rect, nm_per_px: f64) -> Rect {
         let sx = |v: i32| ((f64::from(v - self.window.x0) / nm_per_px).round()) as i32;

@@ -60,6 +60,30 @@ pub enum LayoutError {
         /// Patterns requested.
         requested: usize,
     },
+    /// Rasterizing the window would exceed [`MAX_RASTER_PX`].
+    RasterTooLarge {
+        /// Raster width in pixels.
+        width: usize,
+        /// Raster height in pixels.
+        height: usize,
+    },
+}
+
+/// The largest raster, in pixels, that one whole-layout run may allocate
+/// (2048²: one `f32` grid is 16 MiB, and an ILT session holds dozens). The
+/// largest shipped input, a haloed chip tile, is 494². Larger windows are
+/// `ldmo chip`'s job: it tiles them.
+pub const MAX_RASTER_PX: usize = 2048 * 2048;
+
+// Bridge into the workspace-wide taxonomy: an oversized layout is an input
+// problem (exit 3, serve's 422 `bad-layout`), like a malformed file.
+impl From<LayoutError> for ldmo_guard::LdmoError {
+    fn from(e: LayoutError) -> Self {
+        ldmo_guard::LdmoError::Parse {
+            context: "layout".to_owned(),
+            detail: e.to_string(),
+        }
+    }
 }
 
 impl std::fmt::Display for LayoutError {
@@ -75,6 +99,11 @@ impl std::fmt::Display for LayoutError {
             LayoutError::PlacementFailed { placed, requested } => write!(
                 f,
                 "could only place {placed} of {requested} patterns under the spacing rules"
+            ),
+            LayoutError::RasterTooLarge { width, height } => write!(
+                f,
+                "a {width}x{height} px raster exceeds the {MAX_RASTER_PX} px cap of one \
+                 whole-layout run; tile it with `ldmo chip`"
             ),
         }
     }

@@ -16,14 +16,6 @@
 //!   keeps the scalar tap order (increasing `k`) and operation shape (`mul`
 //!   then `add`, never fused); the taps it skips only ever add `±0.0` to an
 //!   accumulator that cannot be `−0.0` (DESIGN.md §13).
-//! - [`BatchedBackend`] — the same per-pass arithmetic as the auto-resolved
-//!   SIMD/scalar path, plus a process-wide signal (see
-//!   [`backend_kind`]`() == `[`BackendKind::Batched`]) that higher layers —
-//!   `ldmo_core::flow::LdmoFlow::rank_candidates`,
-//!   `ldmo_ilt::IltContext::evaluate_unoptimized_batch` and
-//!   [`crate::simulate_print_batch`] — use to push many candidate masks
-//!   through the kernel bank kernel-major, loading each kernel expansion
-//!   once per batch instead of once per candidate.
 //!
 //! Selection is process-global, like the `ldmo-par` thread pool: the
 //! default comes from `LDMO_BACKEND` (falling back to [`BackendKind::Auto`]),
@@ -44,7 +36,7 @@ use std::sync::OnceLock;
 /// conformance suite (`crates/litho/tests/backend_conformance.rs`) enforces
 /// for every backend in [`registry`].
 pub trait LithoBackend: Send + Sync + fmt::Debug {
-    /// Stable lowercase backend name (`"scalar"`, `"simd"`, `"batched"`).
+    /// Stable lowercase backend name (`"scalar"`, `"simd"`).
     fn name(&self) -> &'static str;
 
     /// Separable convolution `input ⊗ (p pᵀ)` into `out`, through the
@@ -86,8 +78,6 @@ pub enum BackendKind {
     Scalar,
     /// Runtime-detected AVX-512/AVX2/SSE2 vector passes.
     Simd,
-    /// SIMD/scalar passes plus batched candidate evaluation in ranking.
-    Batched,
 }
 
 impl BackendKind {
@@ -97,7 +87,6 @@ impl BackendKind {
             "auto" => Some(BackendKind::Auto),
             "scalar" => Some(BackendKind::Scalar),
             "simd" => Some(BackendKind::Simd),
-            "batched" => Some(BackendKind::Batched),
             _ => None,
         }
     }
@@ -108,18 +97,16 @@ impl BackendKind {
             BackendKind::Auto => "auto",
             BackendKind::Scalar => "scalar",
             BackendKind::Simd => "simd",
-            BackendKind::Batched => "batched",
         }
     }
 
     /// Numeric code for span metadata (`litho.backend` on `flow.run`):
-    /// 0 auto (unresolved), 1 scalar, 2 simd, 3 batched.
+    /// 0 auto (unresolved), 1 scalar, 2 simd.
     pub fn code(self) -> u8 {
         match self {
             BackendKind::Auto => 0,
             BackendKind::Scalar => 1,
             BackendKind::Simd => 2,
-            BackendKind::Batched => 3,
         }
     }
 
@@ -127,7 +114,6 @@ impl BackendKind {
         match code {
             1 => BackendKind::Scalar,
             2 => BackendKind::Simd,
-            3 => BackendKind::Batched,
             _ => BackendKind::Auto,
         }
     }
@@ -227,39 +213,13 @@ impl LithoBackend for SimdBackend {
     }
 }
 
-/// The batched backend: per-pass arithmetic identical to [`SimdBackend`]
-/// (and therefore to scalar); its batching lives in the call sites that
-/// consult [`backend_kind`] — candidate ranking evaluates candidates
-/// through `IltContext::evaluate_unoptimized_batch`, which pushes every
-/// mask of a batch through the kernel bank kernel-major.
-#[derive(Debug)]
-pub struct BatchedBackend;
-
-impl LithoBackend for BatchedBackend {
-    fn name(&self) -> &'static str {
-        "batched"
-    }
-
-    fn convolve_separable_into(
-        &self,
-        input: &Grid,
-        profile: &[f32],
-        tmp: &mut Grid,
-        pad: &mut Vec<f32>,
-        out: &mut Grid,
-    ) {
-        conv::convolve_separable_simd(input, profile, tmp, pad, out);
-    }
-}
-
 static SCALAR: ScalarBackend = ScalarBackend;
 static SIMD: SimdBackend = SimdBackend;
-static BATCHED: BatchedBackend = BatchedBackend;
 
 /// Every registered backend, scalar first. The conformance suite iterates
 /// this, so a new backend gets differential coverage by joining the list.
 pub fn registry() -> &'static [&'static dyn LithoBackend] {
-    static REGISTRY: [&dyn LithoBackend; 3] = [&SCALAR, &SIMD, &BATCHED];
+    static REGISTRY: [&dyn LithoBackend; 2] = [&SCALAR, &SIMD];
     &REGISTRY
 }
 
@@ -318,13 +278,12 @@ pub fn active() -> &'static dyn LithoBackend {
     match resolved_kind() {
         BackendKind::Scalar => &SCALAR,
         BackendKind::Simd | BackendKind::Auto => &SIMD,
-        BackendKind::Batched => &BATCHED,
     }
 }
 
 /// One-call CLI setup shared by the `ldmo` binary and the bench bins
 /// (mirrors `ldmo_par::cli_setup`): scans `std::env::args` for
-/// `--backend {auto,scalar,simd,batched}` (last occurrence wins) and
+/// `--backend {auto,scalar,simd}` (last occurrence wins) and
 /// installs it; without the flag the process keeps its default
 /// (`LDMO_BACKEND` or auto). Returns the resulting resolved kind.
 pub fn cli_setup() -> BackendKind {
@@ -335,7 +294,7 @@ pub fn cli_setup() -> BackendKind {
             match BackendKind::parse(&pair[1]) {
                 Some(kind) => requested = Some(kind),
                 None => eprintln!(
-                    "ignoring invalid --backend value '{}' (want auto|scalar|simd|batched)",
+                    "ignoring invalid --backend value '{}' (want auto|scalar|simd)",
                     pair[1]
                 ),
             }
@@ -355,12 +314,7 @@ mod tests {
 
     #[test]
     fn kind_parse_round_trips() {
-        for kind in [
-            BackendKind::Auto,
-            BackendKind::Scalar,
-            BackendKind::Simd,
-            BackendKind::Batched,
-        ] {
+        for kind in [BackendKind::Auto, BackendKind::Scalar, BackendKind::Simd] {
             assert_eq!(BackendKind::parse(kind.as_str()), Some(kind));
             assert_eq!(BackendKind::from_code(kind.code()), kind);
         }
@@ -371,7 +325,7 @@ mod tests {
     #[test]
     fn registry_leads_with_scalar_reference() {
         let names: Vec<&str> = registry().iter().map(|b| b.name()).collect();
-        assert_eq!(names, ["scalar", "simd", "batched"]);
+        assert_eq!(names, ["scalar", "simd"]);
         assert!(registry().iter().all(|b| b.max_ulps() == 0));
     }
 

@@ -152,86 +152,6 @@ pub fn simulate_print(mask: &Grid, bank: &KernelBank, cfg: &LithoConfig) -> Grid
     resist_threshold(&aerial.intensity, cfg)
 }
 
-/// Batched forward model: prints every mask in `masks` in one pass over the
-/// kernel bank. The loop is **kernel-major** — each kernel's expanded
-/// profiles are loaded once and swept across the whole batch, instead of
-/// reloading the bank per mask — which is the amortization the batched
-/// backend ([`backend::BackendKind::Batched`]) buys candidate ranking.
-///
-/// Bit-identical to calling [`simulate_print`] per mask: each mask's
-/// intensity still accumulates its kernels in bank order with the same
-/// arithmetic; only the iteration order *across masks* changes, and masks
-/// are independent.
-///
-/// Thin wrapper over [`simulate_print_batch_into`] with transient buffers.
-///
-/// # Panics
-///
-/// Panics if `masks` is empty or the masks disagree on shape.
-pub fn simulate_print_batch(masks: &[Grid], bank: &KernelBank, cfg: &LithoConfig) -> Vec<Grid> {
-    assert!(!masks.is_empty(), "batch must not be empty");
-    let (w, h) = masks[0].shape();
-    let mut scratch = ConvScratch::new(w, h);
-    let mut field = Grid::zeros(w, h);
-    let mut outs: Vec<Grid> = masks.iter().map(|_| Grid::zeros(w, h)).collect();
-    simulate_print_batch_into(masks, bank, cfg, &mut scratch, &mut field, &mut outs);
-    outs
-}
-
-/// Buffer-reuse variant of [`simulate_print_batch`]: `outs[i]` receives the
-/// resist image of `masks[i]` (fully overwritten; prior contents ignored).
-/// `field` holds one coherent field at a time. Allocation-free.
-///
-/// # Panics
-///
-/// Panics if `masks` is empty, `outs.len() != masks.len()`, or any buffer's
-/// shape differs from `masks[0]`'s.
-pub fn simulate_print_batch_into(
-    masks: &[Grid],
-    bank: &KernelBank,
-    cfg: &LithoConfig,
-    scratch: &mut ConvScratch,
-    field: &mut Grid,
-    outs: &mut [Grid],
-) {
-    assert!(!masks.is_empty(), "batch must not be empty");
-    assert_eq!(masks.len(), outs.len(), "batch output length mismatch");
-    let shape = masks[0].shape();
-    assert_eq!(field.shape(), shape, "field buffer shape mismatch");
-    if ldmo_obs::enabled() {
-        ldmo_obs::counter("litho.batch_prints").incr();
-    }
-    // kernel-major: load each kernel's expansion once per batch. Per mask
-    // the accumulation order over kernels is unchanged (k == 0 writes, the
-    // rest add), so each intensity is bit-identical to the unbatched path.
-    for (k, kernel) in bank.kernels().iter().enumerate() {
-        let wk = kernel.weight() as f32;
-        for (mask, out) in masks.iter().zip(outs.iter_mut()) {
-            assert_eq!(mask.shape(), shape, "batch mask shape mismatch");
-            kernel.field_into(mask, scratch, field);
-            let acc = out.as_mut_slice();
-            let f = field.as_slice();
-            if k == 0 {
-                for (a, &v) in acc.iter_mut().zip(f) {
-                    *a = wk * v * v;
-                }
-            } else {
-                for (a, &v) in acc.iter_mut().zip(f) {
-                    *a += wk * v * v;
-                }
-            }
-        }
-    }
-    // resist in place: the same Eq. 2 arithmetic as resist_threshold_into
-    let theta = cfg.theta_z;
-    let ith = cfg.intensity_threshold;
-    for out in outs.iter_mut() {
-        for v in out.as_mut_slice() {
-            *v = sigmoid(theta * (*v - ith));
-        }
-    }
-}
-
 /// Runs the forward model for a double-patterning mask pair and combines the
 /// two prints per the paper's Eq. 3.
 pub fn simulate_print_pair(

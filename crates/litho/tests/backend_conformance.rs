@@ -8,8 +8,8 @@
 //! contract of the separable pass itself, on every backend.
 
 use ldmo_geom::{Grid, Rect};
-use ldmo_litho::backend::{registry, LithoBackend};
-use ldmo_litho::{simulate_print, simulate_print_batch, KernelBank, LithoConfig};
+use ldmo_litho::backend::{self, registry, BackendKind, LithoBackend};
+use ldmo_litho::{simulate_print, KernelBank, LithoConfig};
 use proptest::prelude::*;
 
 /// Small odd profiles exercising symmetric, asymmetric, negative-lobe and
@@ -214,39 +214,28 @@ fn dense_contacts_conform_on_all_backends() {
 #[test]
 fn full_print_is_bit_identical_across_backends() {
     // end-to-end: the entire forward model (kernel bank + resist), not
-    // just one pass, agrees bitwise whichever backend runs it
+    // just one pass, agrees bitwise whichever backend runs it. The
+    // selection is process-global; flipping it cannot disturb the other
+    // tests here, because every backend computes the same bits.
     let cfg = LithoConfig::default();
     let bank = KernelBank::paper_bank(&cfg);
-    let mask = dense_contacts(96, 96);
-    let all = registry();
-    let mut tmp = Grid::zeros(96, 96);
-    let mut pad = Vec::new();
-    let mut out = Grid::zeros(96, 96);
-    // reference print under the scalar backend, via the public trait
-    let reference = {
-        // simulate_print routes through the process-global backend; the
-        // per-pass trait calls below are backend-explicit instead
-        let (_, profile) = bank.kernels()[0].components().next().expect("components");
-        all[0].convolve_separable_into(&mask, profile, &mut tmp, &mut pad, &mut out);
-        simulate_print(&mask, &bank, &cfg)
-    };
-    // batch path: three masks in one pass, bit-identical per mask
-    let masks = vec![mask.clone(), impulse(96, 96), straight_edge(96, 96)];
-    let batch = simulate_print_batch(&masks, &bank, &cfg);
-    assert_eq!(batch.len(), 3);
-    assert_eq!(
-        batch[0].as_slice(),
-        reference.as_slice(),
-        "batched print diverged from sequential print"
-    );
-    for (mask, print) in masks.iter().zip(&batch) {
-        let sequential = simulate_print(mask, &bank, &cfg);
+    let prev = backend::backend_kind();
+    for mask in [
+        dense_contacts(96, 96),
+        impulse(96, 96),
+        straight_edge(96, 96),
+    ] {
+        backend::set_backend(BackendKind::Scalar);
+        let reference = simulate_print(&mask, &bank, &cfg);
+        backend::set_backend(BackendKind::Simd);
+        let simd = simulate_print(&mask, &bank, &cfg);
         assert_eq!(
-            print.as_slice(),
-            sequential.as_slice(),
-            "batched print diverged from sequential print"
+            simd.as_slice(),
+            reference.as_slice(),
+            "simd print diverged from scalar print"
         );
     }
+    backend::set_backend(prev);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@
 //! - **[`cache`]** — a content-addressed result cache over a crash-safe
 //!   single-file append log (checksummed frames, torn-tail recovery, a
 //!   warm start survives `kill -9`);
-//! - **[`pipeline`]** — the per-request optimize path: litho-proxy
-//!   ranking (batched under the batched backend), the abort-attempt
-//!   loop, per-request deadlines, retry-once-with-halved-budget, and the
-//!   deterministic unoptimized-mask fallback;
+//! - **[`pipeline`]** — the per-request optimize path: the shared
+//!   `ldmo_core::ladder` (litho-proxy ranking, the abort-attempt loop,
+//!   retry-once-with-halved-budget under the request deadline, and the
+//!   deterministic unoptimized-mask fallback);
 //! - **[`server`]** — bounded admission with explicit load shedding,
 //!   batch scheduling on the [`ldmo_par`] pool with per-request panic
 //!   containment, graceful drain;

@@ -1,16 +1,15 @@
-//! The per-request optimization pipeline: the `ldmo-chip` tile idiom
-//! (rank → abort-attempt loop → complete best-ranked) under a per-request
-//! deadline, with retry-once-with-halved-budget before degrading to the
-//! deterministic unoptimized drawn masks.
+//! The per-request optimization pipeline: candidate generation, then the
+//! shared `ldmo-core` ladder (rank → abort-attempt loop → complete
+//! best-ranked → retry once with a halved budget → unoptimized drawn
+//! masks) under the request's deadline.
 
-use ldmo_core::score::{printability_score, ScoreWeights};
+use ldmo_core::ladder::{self, Ladder, Rung, SelectionStrategy};
+use ldmo_core::score::ScoreWeights;
 use ldmo_decomp::{generate_candidates, DecompConfig};
 use ldmo_geom::Grid;
-use ldmo_guard::{penalty_score, Budget, DegradeReason, OutcomeHealth};
-use ldmo_ilt::{IltConfig, IltContext, IltOutcome, ViolationPolicy};
-use ldmo_layout::{Layout, MaskAssignment};
-use ldmo_litho::backend::resolved_kind;
-use ldmo_litho::BackendKind;
+use ldmo_guard::{DegradeReason, OutcomeHealth};
+use ldmo_ilt::{IltConfig, IltContext, IltOutcome};
+use ldmo_layout::Layout;
 use std::time::{Duration, Instant};
 
 /// Per-request optimization knobs (the serving analogue of `ChipConfig`).
@@ -56,208 +55,67 @@ pub struct RequestOutcome {
     /// Guard verdict. `Degraded` means the deterministic unoptimized
     /// drawn masks were served.
     pub health: OutcomeHealth,
-    /// Whether the halved-budget retry produced the served result. A
-    /// retried outcome is never cached — the retry only happens when a
-    /// wall-clock budget fired, which is not a function of the input.
-    pub retried: bool,
+    /// The ladder rung that produced the served masks. A
+    /// [`Rung::Retry`] outcome is never cached — the retry only runs
+    /// against a wall-clock deadline, which is not a function of the input.
+    pub rung: Rung,
 }
 
-/// Composes the configured budget with the request's remaining deadline:
-/// the tighter wall bound wins; iteration bounds pass through.
-fn merge_budget(base: &Budget, remaining: Option<Duration>) -> Budget {
-    let max_wall = match (base.max_wall, remaining) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
-    Budget {
-        max_iterations: base.max_iterations,
-        max_wall,
-    }
-}
-
-/// Litho-proxy candidate ranking (best first) — the batched evaluator
-/// under the batched backend (one kernel-bank pass for the whole
-/// candidate set), bit-identical to the per-candidate path.
-fn rank(
-    layout: &Layout,
-    candidates: &[MaskAssignment],
-    cfg: &PipelineConfig,
-    ctx: &IltContext,
-) -> Vec<usize> {
-    let score = |out: &IltOutcome| -> f64 {
-        if let OutcomeHealth::Degraded { reason } = out.health {
-            penalty_score(reason)
-        } else {
-            printability_score(out, &cfg.weights)
+impl RequestOutcome {
+    fn new(out: IltOutcome, attempts: usize, candidates: usize, rung: Rung) -> Self {
+        if out.health.is_degraded() {
+            ldmo_obs::incr("serve.degraded");
         }
-    };
-    let scores: Vec<f64> = if resolved_kind() == BackendKind::Batched && candidates.len() > 1 {
-        let assignments: Vec<&[u8]> = candidates.iter().map(|c| c.as_slice()).collect();
-        ctx.evaluate_unoptimized_batch(layout, &assignments)
-            .iter()
-            .map(score)
-            .collect()
-    } else {
-        candidates
-            .iter()
-            .map(|c| score(&ctx.evaluate_unoptimized(layout, c.as_slice())))
-            .collect()
-    };
-    let mut scored: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
-    scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-    scored.into_iter().map(|(i, _)| i).collect()
+        if rung == Rung::Retry {
+            ldmo_obs::incr("serve.retries");
+        }
+        RequestOutcome {
+            epe_violations: out.epe_violations(),
+            iterations: out.iterations_run,
+            health: out.health,
+            masks: out.masks,
+            attempts,
+            candidates,
+            rung,
+        }
+    }
 }
 
 /// Runs one request end to end. `remaining` is the wall-clock budget left
 /// of the request's deadline at processing start (queue wait already
 /// deducted); `None` means no deadline.
 ///
-/// Failure ladder (DESIGN.md §16): abort-attempt loop → complete the
-/// best-ranked candidate → retry once with a halved budget → degrade to
-/// the deterministic unoptimized drawn masks. Every rung returns a
-/// well-formed outcome; nothing panics or blocks past the deadline by
-/// more than one budget check interval.
+/// Every rung of the ladder (DESIGN.md §16) returns a well-formed outcome;
+/// nothing panics or blocks past the deadline by more than one budget
+/// check interval.
 pub fn optimize_request(
     layout: &Layout,
     cfg: &PipelineConfig,
     ctx: &IltContext,
     remaining: Option<Duration>,
 ) -> RequestOutcome {
-    let started = Instant::now();
+    let deadline = remaining.and_then(|d| Instant::now().checked_add(d));
     let candidates = generate_candidates(layout, &cfg.decomp);
-    let order = rank(layout, &candidates, cfg, ctx);
-    let n_candidates = candidates.len();
-
-    // the deadline may already be spent on queue wait + ranking: skip
-    // straight to the deterministic fallback rather than starting an ILT
-    // run that is guaranteed to blow its budget
-    let spent_already = remaining.is_some_and(|d| started.elapsed() >= d);
-    if spent_already {
-        return degraded_outcome(
-            layout,
-            &candidates[order[0]],
-            ctx,
-            n_candidates,
-            0,
-            DegradeReason::BudgetExhausted,
-            false,
-        );
-    }
-
-    let first_cfg = IltConfig {
-        budget: merge_budget(
-            &cfg.ilt.budget,
-            remaining.map(|d| d.saturating_sub(started.elapsed())),
-        ),
-        ..cfg.ilt.clone()
+    let ctx = ctx.with_config(&cfg.ilt);
+    let ladder = Ladder {
+        ctx: &ctx,
+        weights: cfg.weights,
+        max_attempts: cfg.max_attempts,
+        candidate_deadline: None,
+        pool: None,
     };
-    let abort_ctx = ctx.with_config(&IltConfig {
-        policy: ViolationPolicy::AbortOnViolation,
-        ..first_cfg.clone()
-    });
-    let mut attempts = 0usize;
-    let mut accepted: Option<(usize, IltOutcome)> = None;
-    for &ci in order.iter().take(cfg.max_attempts.max(1)) {
-        attempts += 1;
-        let out = abort_ctx.optimize(layout, candidates[ci].as_slice());
-        if out.aborted_at.is_none() {
-            accepted = Some((ci, out));
-            break;
-        }
-    }
-    let (ci, out) = accepted.unwrap_or_else(|| {
-        attempts += 1;
-        (
-            order[0],
-            ctx.with_config(&first_cfg)
-                .optimize(layout, candidates[order[0]].as_slice()),
-        )
-    });
-    if out.health.is_usable() {
-        return RequestOutcome {
-            masks: out.masks.clone(),
-            epe_violations: out.epe_violations(),
-            attempts,
-            candidates: n_candidates,
-            iterations: out.iterations_run,
-            health: out.health,
-            retried: false,
-        };
-    }
-    let reason = match out.health {
-        OutcomeHealth::Degraded { reason } => reason,
-        _ => unreachable!("non-usable health is Degraded"),
-    };
-
-    // retry once with a halved budget: half the iteration cap (so a
-    // shortened run can *complete* instead of re-blowing the bound) and
-    // whatever wall clock the deadline has left, halved
-    ldmo_obs::incr("serve.retries");
-    let left = remaining.map(|d| d.saturating_sub(started.elapsed()));
-    if left.is_none_or(|d| d > Duration::ZERO) {
-        let halved_iters = (cfg.ilt.max_iterations / 2).max(1);
-        let retry_cfg = IltConfig {
-            max_iterations: halved_iters,
-            budget: Budget {
-                max_iterations: first_cfg.budget.max_iterations.map(|n| (n / 2).max(1)),
-                max_wall: left.map(|d| d / 2),
-            },
-            ..cfg.ilt.clone()
-        };
-        attempts += 1;
-        let retry = ctx
-            .with_config(&retry_cfg)
-            .optimize(layout, candidates[ci].as_slice());
-        if retry.health.is_usable() {
-            return RequestOutcome {
-                masks: retry.masks.clone(),
-                epe_violations: retry.epe_violations(),
-                attempts,
-                candidates: n_candidates,
-                iterations: retry.iterations_run,
-                health: retry.health,
-                retried: true,
-            };
-        }
-    }
-
-    degraded_outcome(
+    let climb = ladder.run(
         layout,
-        &candidates[ci],
-        ctx,
-        n_candidates,
-        attempts,
-        reason,
-        true,
-    )
-}
-
-/// The deterministic bottom rung: the candidate's unoptimized drawn
-/// masks (always printable-as-drawn, a pure function of the layout).
-fn degraded_outcome(
-    layout: &Layout,
-    candidate: &MaskAssignment,
-    ctx: &IltContext,
-    candidates: usize,
-    attempts: usize,
-    reason: DegradeReason,
-    retried: bool,
-) -> RequestOutcome {
-    ldmo_obs::incr("serve.degraded");
-    let un = ctx.evaluate_unoptimized(layout, candidate.as_slice());
-    RequestOutcome {
-        masks: un.masks.clone(),
-        epe_violations: un.epe_violations(),
-        attempts,
-        candidates,
-        iterations: 0,
-        health: OutcomeHealth::Degraded { reason },
-        retried,
-    }
+        &candidates,
+        &mut SelectionStrategy::LithoProxy,
+        deadline,
+        &mut None,
+    );
+    RequestOutcome::new(climb.outcome, climb.attempts, candidates.len(), climb.rung)
 }
 
 /// Serial replacement for a request whose pool worker panicked: the
-/// first candidate's unoptimized drawn masks, marked degraded — the
+/// ladder's drawn rung on the first candidate, marked degraded — the
 /// serving mirror of `ldmo-chip`'s `panicked_tile`.
 pub fn panicked_fallback(
     layout: &Layout,
@@ -266,21 +124,21 @@ pub fn panicked_fallback(
 ) -> RequestOutcome {
     ldmo_obs::incr("serve.panics");
     let candidates = generate_candidates(layout, &cfg.decomp);
-    degraded_outcome(
+    let out = ladder::drawn(
+        ctx,
         layout,
         &candidates[0],
-        ctx,
-        candidates.len(),
-        0,
         DegradeReason::WorkerPanic,
-        false,
-    )
+        &mut None,
+    );
+    RequestOutcome::new(out, 0, candidates.len(), Rung::Drawn)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ldmo_geom::Rect;
+    use ldmo_guard::Budget;
 
     fn small_layout() -> Layout {
         Layout::new(
@@ -304,24 +162,39 @@ mod tests {
         let a = optimize_request(&layout, &cfg, &ctx, None);
         let b = optimize_request(&layout, &cfg, &ctx, None);
         assert!(a.health.is_usable());
-        assert!(!a.retried);
+        assert_ne!(a.rung, Rung::Retry);
         assert_eq!(a.masks, b.masks);
         assert_eq!(a.epe_violations, b.epe_violations);
         assert_eq!(a.attempts, b.attempts);
     }
 
     #[test]
-    fn exhausted_iteration_budget_retries_then_degrades_or_completes() {
+    fn exhausted_budget_without_a_deadline_serves_the_drawn_masks() {
         let layout = small_layout();
         let mut cfg = fast_cfg();
         cfg.ilt.budget = Budget::iterations(0);
         let ctx = IltContext::new(&cfg.ilt);
         let out = optimize_request(&layout, &cfg, &ctx, None);
-        // a zero-iteration budget halves to one iteration on retry; either
-        // the retry completes cleanly within it or the fallback serves the
-        // drawn masks — both are well-formed, neither panics
-        assert!(out.retried || out.health.is_degraded());
+        // without a deadline there is no retry: the exhausted run falls to
+        // the drawn masks — well-formed, never a panic
+        assert_eq!(out.rung, Rung::Drawn);
+        assert!(out.health.is_degraded());
         assert!(out.masks[0].as_slice().iter().any(|&v| v > 0.0));
+    }
+
+    #[test]
+    fn a_live_deadline_gives_a_degraded_run_one_halved_retry() {
+        // 5 iterations under a 4-iteration budget degrade; the retry runs
+        // 2 iterations under a 2-iteration budget and completes
+        let layout = small_layout();
+        let mut cfg = fast_cfg();
+        cfg.ilt.max_iterations = 5;
+        cfg.ilt.budget = Budget::iterations(4);
+        let ctx = IltContext::new(&cfg.ilt);
+        let out = optimize_request(&layout, &cfg, &ctx, Some(Duration::from_secs(600)));
+        assert_eq!(out.rung, Rung::Retry);
+        assert!(out.health.is_usable());
+        assert_eq!(out.iterations, 2);
     }
 
     #[test]
@@ -338,6 +211,7 @@ mod tests {
             }
         );
         assert_eq!(a.iterations, 0);
+        assert_eq!(a.rung, Rung::Drawn);
         assert_eq!(a.masks, b.masks, "fallback masks are deterministic");
     }
 

@@ -28,6 +28,7 @@
 //! the cache holds the pixels; the hash is what the determinism contract
 //! ("bit-identical cached vs recomputed") is asserted on.
 
+use ldmo_core::ladder::Rung;
 use ldmo_guard::{LdmoError, OutcomeHealth};
 use ldmo_obs::json::{self, Value};
 use std::io::{self, Read, Write};
@@ -129,6 +130,10 @@ pub struct OptimizeResponse {
     pub cached: bool,
     /// Whether the retry-with-halved-budget path produced the result.
     pub retried: bool,
+    /// The ladder rung that produced a computed result (`attempt`,
+    /// `complete-best`, `retry` or `drawn`); absent on cache hits and
+    /// control rows.
+    pub rung: Option<String>,
     /// EPE violations of the served masks.
     pub epe_violations: Option<u64>,
     /// ILT attempts made.
@@ -154,6 +159,7 @@ impl OptimizeResponse {
             degraded: false,
             cached: false,
             retried: false,
+            rung: None,
             epe_violations: None,
             attempts: None,
             candidates: None,
@@ -190,7 +196,7 @@ impl OptimizeResponse {
         iterations: usize,
         mask_hash: String,
         cached: bool,
-        retried: bool,
+        rung: Option<Rung>,
     ) -> OptimizeResponse {
         let degraded = health.is_degraded();
         OptimizeResponse {
@@ -200,7 +206,8 @@ impl OptimizeResponse {
             health: Some(health.to_string()),
             degraded,
             cached,
-            retried,
+            retried: rung == Some(Rung::Retry),
+            rung: rung.map(|r| r.as_str().to_owned()),
             epe_violations: Some(epe_violations as u64),
             attempts: Some(attempts as u64),
             candidates: Some(candidates as u64),
@@ -221,8 +228,10 @@ impl OptimizeResponse {
             self.cached,
             self.retried,
         );
-        if let Some(h) = &self.health {
-            out.push_str(&format!(",\"health\":\"{}\"", json::escape(h)));
+        for (key, v) in [("health", &self.health), ("rung", &self.rung)] {
+            if let Some(text) = v {
+                out.push_str(&format!(",\"{key}\":\"{}\"", json::escape(text)));
+            }
         }
         for (key, v) in [
             ("epe_violations", self.epe_violations),
@@ -286,29 +295,22 @@ impl OptimizeResponse {
             }
         };
         let uint = |key: &str| value.get(key).and_then(Value::as_f64).map(|n| n as u64);
+        let text = |key: &str| value.get(key).and_then(Value::as_str).map(str::to_owned);
         let response = OptimizeResponse {
             id,
             status,
             code,
-            health: value
-                .get("health")
-                .and_then(Value::as_str)
-                .map(str::to_owned),
+            health: text("health"),
             degraded: flag("degraded")?,
             cached: flag("cached")?,
             retried: flag("retried")?,
+            rung: text("rung"),
             epe_violations: uint("epe_violations"),
             attempts: uint("attempts"),
             candidates: uint("candidates"),
             iterations: uint("iterations"),
-            mask_hash: value
-                .get("mask_hash")
-                .and_then(Value::as_str)
-                .map(str::to_owned),
-            detail: value
-                .get("detail")
-                .and_then(Value::as_str)
-                .map(str::to_owned),
+            mask_hash: text("mask_hash"),
+            detail: text("detail"),
         };
         // a served result (`ok` / `degraded`) must carry its result
         // fields; control rows (shed, draining, errors) legitimately
@@ -500,7 +502,7 @@ mod tests {
             6,
             "00ff00ff00ff00ff".into(),
             true,
-            false,
+            None,
         );
         let parsed = OptimizeResponse::from_json(&resp.to_json()).expect("parses");
         assert_eq!(parsed, resp);
@@ -522,10 +524,13 @@ mod tests {
             0,
             "0".into(),
             false,
-            true,
+            Some(Rung::Drawn),
         );
         assert_eq!((degraded.status, degraded.code.as_str()), (200, "degraded"));
-        assert!(degraded.degraded && degraded.retried);
+        assert!(degraded.degraded && !degraded.retried);
+        assert_eq!(degraded.rung.as_deref(), Some("drawn"));
+        let parsed = OptimizeResponse::from_json(&degraded.to_json()).expect("parses");
+        assert_eq!(parsed, degraded);
 
         assert_eq!(
             (

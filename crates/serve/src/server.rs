@@ -21,8 +21,8 @@
 use crate::cache::{self, CachedResult, ResultCache};
 use crate::pipeline::{self, PipelineConfig, RequestOutcome};
 use crate::protocol::{self, HttpRequest, OptimizeRequest, OptimizeResponse};
-use ldmo_guard::fault;
-use ldmo_guard::OutcomeHealth;
+use ldmo_core::ladder::Rung;
+use ldmo_guard::{fault, LdmoError, OutcomeHealth};
 use ldmo_ilt::IltContext;
 use ldmo_layout::{io as layout_io, Layout};
 use std::collections::VecDeque;
@@ -459,13 +459,21 @@ fn process_batch(
             .max_candidates
             .unwrap_or(cfg.pipeline.decomp.max_candidates)
             .min(cfg.pipeline.decomp.max_candidates);
-        let layout = match layout_io::from_str(&job.request.layout_text) {
+        // a layout whose raster would not fit is refused like a malformed
+        // one, before anything is allocated for it
+        let nm_per_px = cfg.pipeline.ilt.litho.nm_per_px;
+        let parsed = layout_io::from_str(&job.request.layout_text)
+            .map_err(LdmoError::from)
+            .and_then(|layout| {
+                layout.check_raster_extent(nm_per_px)?;
+                Ok(layout)
+            });
+        let layout = match parsed {
             Ok(layout) => layout,
             Err(e) => {
                 shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 ldmo_obs::incr("serve.bad_requests");
-                let error =
-                    ldmo_guard::LdmoError::from(e).with_context("request layout".to_owned());
+                let error = e.with_context("request layout".to_owned());
                 let _ = respond(
                     &mut job.stream,
                     &OptimizeResponse::from_error(&job.request.id, &error),
@@ -500,7 +508,7 @@ fn process_batch(
                     hit.iterations as usize,
                     hit.mask_hash(),
                     true,
-                    false,
+                    None,
                 ),
             );
             continue;
@@ -548,7 +556,7 @@ fn process_batch(
         }
         // cache policy (bit-identity invariant): usable, non-retried
         // outcomes only — see the cache module docs
-        if outcome.health.is_usable() && !outcome.retried {
+        if outcome.health.is_usable() && outcome.rung != Rung::Retry {
             if let Some(cache) = cache.as_deref_mut() {
                 let inserted = cache.insert(
                     w.key,
@@ -583,7 +591,7 @@ fn process_batch(
                 outcome.iterations,
                 cache::mask_hash(&outcome.masks),
                 false,
-                outcome.retried,
+                Some(outcome.rung),
             ),
         );
     }

@@ -150,7 +150,7 @@ fn print_usage() {
          with 'ldmo trace flame'); crashes and typed-error exits dump the\n\
          flight-recorder ring to flight_<pid>.jsonl (LDMO_FLIGHT_DIR, or\n\
          LDMO_FLIGHT=0 to disable)\n\n\
-         --backend {{auto,scalar,simd,batched}} (or LDMO_BACKEND=..) picks\n\
+         --backend {{auto,scalar,simd}} (or LDMO_BACKEND=..) picks\n\
          the litho convolution backend (DESIGN.md §13); all backends are\n\
          bit-identical, 'auto' resolves to the fastest available\n\n\
          LDMO_FAULTS=SPEC installs a deterministic fault-injection plan\n\
@@ -183,6 +183,14 @@ fn split_options(args: &[String]) -> (Vec<&str>, std::collections::HashMap<&str,
 
 fn load_layout(path: &str) -> Result<Layout, LdmoError> {
     layout_io::load(path).map_err(|e| LdmoError::from(e).with_context(format!("layout '{path}'")))
+}
+
+/// Refuses a window too large to rasterize whole (exit 3) before `flow` or
+/// `optimize` allocates for it.
+fn check_extent(layout: &Layout, path: &str, nm_per_px: f64) -> Result<(), LdmoError> {
+    layout
+        .check_raster_extent(nm_per_px)
+        .map_err(|e| LdmoError::from(e).with_context(format!("layout '{path}'")))
 }
 
 fn io_error(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> LdmoError {
@@ -262,6 +270,8 @@ fn cmd_optimize(args: &[String]) -> Result<(), LdmoError> {
         "usage: ldmo optimize FILE --assignment 0,1,..",
     ))?;
     let layout = load_layout(path)?;
+    let cfg = IltConfig::default();
+    check_extent(&layout, path, cfg.litho.nm_per_px)?;
     let assignment = parse_assignment(opts.get("assignment").ok_or(LdmoError::usage(
         "missing --assignment (e.g. --assignment 0,1,0)",
     ))?)?;
@@ -273,7 +283,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), LdmoError> {
         )));
     }
     let masks: usize = opts.get("masks").and_then(|s| s.parse().ok()).unwrap_or(2);
-    let cfg = IltConfig::default();
     let (epe, violations, l2, printed, mask_grids) = if masks == 2 {
         let out = optimize(&layout, &assignment, &cfg);
         (
@@ -316,6 +325,8 @@ fn cmd_flow(args: &[String]) -> Result<(), LdmoError> {
         "usage: ldmo flow FILE [--predictor W.bin]",
     ))?;
     let layout = load_layout(path)?;
+    let cfg = FlowConfig::default();
+    check_extent(&layout, path, cfg.ilt.litho.nm_per_px)?;
     let strategy = match opts.get("predictor") {
         Some(weights) => {
             let mut predictor = PrintabilityPredictor::lite(7);
@@ -326,11 +337,12 @@ fn cmd_flow(args: &[String]) -> Result<(), LdmoError> {
         }
         None => SelectionStrategy::LithoProxy,
     };
-    let mut flow = LdmoFlow::new(FlowConfig::default(), strategy);
+    let mut flow = LdmoFlow::new(cfg, strategy);
     let result = flow.run(&layout);
     let joined: Vec<String> = result.assignment.iter().map(u8::to_string).collect();
     println!("selected decomposition: {}", joined.join(","));
     println!("attempts:               {}", result.attempts);
+    println!("ladder rung:            {}", result.rung.as_str());
     println!(
         "EPE violations:         {}",
         result.outcome.epe_violations()

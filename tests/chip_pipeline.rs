@@ -13,10 +13,13 @@
 
 use ldmo::chip::{run_chip, ChipConfig};
 use ldmo::core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
+use ldmo::decomp::generate_candidates;
 use ldmo::guard::fault::{self, FaultPlan};
 use ldmo::guard::{Budget, DegradeReason, OutcomeHealth};
+use ldmo::ilt::IltContext;
 use ldmo::layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo::layout::Layout;
+use ldmo::serve::{mask_hash, optimize_request, PipelineConfig};
 use std::sync::Mutex;
 
 /// Serializes every test in this file: the installed fault plan is
@@ -59,32 +62,89 @@ fn fast_cfg() -> ChipConfig {
     cfg
 }
 
-#[test]
-fn one_tile_chip_matches_the_whole_grid_flow() {
-    let _g = chaos_guard();
-    // a single-block chip fits in one 448 nm tile, so the tiled path and
-    // the whole-grid LithoProxy flow run the same ranking, the same
-    // abort-attempt loop and the same final ILT — EPE count, attempt
-    // count and the masks themselves must agree bit for bit
-    let layout = demo_chip(1, 1, 7);
-    let cfg = fast_cfg();
-    let out = run_chip(&layout, &cfg);
-    assert_eq!((out.grid.cols(), out.grid.rows()), (1, 1), "one tile");
-
-    let flow_cfg = FlowConfig {
+fn flow_cfg(cfg: &ChipConfig) -> FlowConfig {
+    FlowConfig {
         decomp: cfg.decomp.clone(),
         ilt: cfg.ilt.clone(),
         weights: cfg.weights,
         max_attempts: cfg.max_attempts,
         candidate_deadline: None,
-    };
-    let flow = LdmoFlow::new(flow_cfg, SelectionStrategy::LithoProxy).run(&layout);
+    }
+}
+
+fn pipeline_cfg(cfg: &ChipConfig) -> PipelineConfig {
+    PipelineConfig {
+        ilt: cfg.ilt.clone(),
+        decomp: cfg.decomp.clone(),
+        weights: cfg.weights,
+        max_attempts: cfg.max_attempts,
+    }
+}
+
+#[test]
+fn one_tile_chip_matches_the_whole_grid_flow() {
+    let _g = chaos_guard();
+    // a single-block chip fits in one 448 nm tile, so the tiled path, the
+    // whole-grid LithoProxy flow and a deadline-free serve request climb
+    // the same ladder — EPE count, attempt count, rung and the masks
+    // themselves must agree bit for bit
+    let layout = demo_chip(1, 1, 7);
+    let cfg = fast_cfg();
+    let out = run_chip(&layout, &cfg);
+    assert_eq!((out.grid.cols(), out.grid.rows()), (1, 1), "one tile");
+
+    let flow = LdmoFlow::new(flow_cfg(&cfg), SelectionStrategy::LithoProxy).run(&layout);
 
     assert_eq!(out.epe_violations, flow.outcome.epe_violations());
     assert_eq!(out.tiles[0].attempts, flow.attempts);
     assert_eq!(out.tiles[0].candidates, flow.candidates);
+    assert_eq!(out.tiles[0].rung, Some(flow.rung));
     assert_eq!(out.masks[0], flow.outcome.masks[0]);
     assert_eq!(out.masks[1], flow.outcome.masks[1]);
+
+    let served = optimize_request(
+        &layout,
+        &pipeline_cfg(&cfg),
+        &IltContext::new(&cfg.ilt),
+        None,
+    );
+    assert_eq!(served.masks, flow.outcome.masks);
+    assert_eq!(mask_hash(&served.masks), mask_hash(&out.masks));
+    assert_eq!(served.epe_violations, flow.outcome.epe_violations());
+    assert_eq!(served.attempts, flow.attempts);
+    assert_eq!(served.rung, flow.rung);
+}
+
+#[test]
+fn candidate_panic_penalizes_one_candidate_not_the_tile_or_request() {
+    let _g = chaos_guard();
+    // `panic@K` aimed at the best-ranked candidate K of tile 0 (K > 0, so
+    // the tile task itself is not struck): K ranks last, and the tile and
+    // the request each stay healthy on the runner-up
+    let layout = demo_chip(1, 1, 4);
+    let cfg = fast_cfg();
+    let candidates = generate_candidates(&layout, &cfg.decomp);
+    let ctx = IltContext::new(&cfg.ilt);
+    let mut flow = LdmoFlow::new(flow_cfg(&cfg), SelectionStrategy::LithoProxy);
+    let best = flow.rank_candidates(&layout, &candidates, &ctx)[0];
+    assert_ne!(best, 0, "seed 4 ranks [3, 0, 1, 2]");
+    let clean = run_chip(&layout, &cfg);
+
+    ldmo::obs::enable();
+    let penalized = ldmo::obs::counter("guard.candidate_penalized");
+    fault::install(FaultPlan::from_spec(&format!("panic@{best}")).expect("spec parses"));
+    let before = penalized.get();
+    let chip = run_chip(&layout, &cfg);
+    let served = optimize_request(&layout, &pipeline_cfg(&cfg), &ctx, None);
+    assert_eq!(
+        penalized.get() - before,
+        2,
+        "the struck candidate, once per run"
+    );
+    assert_eq!(chip.degraded_tiles, 0, "the tile stays healthy");
+    assert!(served.health.is_usable(), "the request stays healthy");
+    assert_ne!(chip.masks, clean.masks, "the struck candidate lost");
+    assert_eq!(served.masks, chip.masks, "serve takes the same runner-up");
 }
 
 #[test]

@@ -188,6 +188,31 @@ fn info_rejects_malformed_file_with_parse_exit_code() {
 }
 
 #[test]
+fn flow_and_optimize_refuse_an_oversized_layout_with_parse_exit_code() {
+    // a 4 mm window rasterizes to 2e6 x 2e6 px at 2 nm/px: refused before
+    // any raster is allocated, with a pointer to the tiled path
+    let dir = temp_dir("oversized");
+    let path = dir.join("huge.lay");
+    std::fs::write(
+        &path,
+        "ldmo-layout v1\nwindow 0 0 4000000 4000000\n\
+         pattern 40 40 104 104\npattern 160 40 224 104\n",
+    )
+    .expect("write");
+    let path = path.to_str().expect("utf8 path");
+    for args in [
+        vec!["flow", path],
+        vec!["optimize", path, "--assignment", "0,1"],
+    ] {
+        let out = ldmo().args(&args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(3), "{args:?} exits 3");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("ldmo chip"), "stderr: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn missing_positional_argument_exits_with_usage_code() {
     let out = ldmo().arg("info").output().expect("runs");
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");

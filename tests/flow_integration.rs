@@ -1,7 +1,7 @@
 //! Integration tests of the end-to-end LDMO flow and the baselines.
 
 use ldmo::core::baselines::{two_stage_bfs, two_stage_suald, unified_flow, UnifiedConfig};
-use ldmo::core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
+use ldmo::core::flow::{FlowConfig, LdmoFlow, Rung, SelectionStrategy};
 use ldmo::core::predictor::PrintabilityPredictor;
 use ldmo::ilt::IltConfig;
 use ldmo::layout::cells;
@@ -30,6 +30,14 @@ fn all_flows_complete_on_every_cell() {
             layout.len(),
             "{name}: proxy flow incomplete"
         );
+        // without a deadline or budget the ladder stops at an accepted
+        // attempt or completes the best candidate after every attempt
+        let tried = fast_flow_cfg().max_attempts.min(proxy.candidates);
+        match proxy.rung {
+            Rung::Attempt => assert!(proxy.attempts <= tried, "{name}"),
+            Rung::CompleteBest => assert_eq!(proxy.attempts, tried + 1, "{name}"),
+            other => panic!("{name}: unexpected rung {other:?}"),
+        }
         let suald = two_stage_suald(&layout, &fast_ilt());
         assert_eq!(suald.assignment.len(), layout.len());
         let bfs = two_stage_bfs(&layout, &fast_ilt());

@@ -6,8 +6,7 @@
 //! component's profile buffer — the `litho.kernel_expansions` counter
 //! (incremented by both `Component::new` and `Component::clone`) grew
 //! linearly with the candidate count. With the shared bank the counter
-//! must not move at all during ranking, on the per-candidate path and the
-//! batched path alike.
+//! must not move at all during ranking, on every backend.
 
 use ldmo_core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
 use ldmo_decomp::{generate_candidates, DecompConfig};
@@ -38,7 +37,7 @@ fn ranking_expands_kernels_once_per_context_not_per_candidate() {
     };
     let expansions = ldmo::obs::counter("litho.kernel_expansions");
     let prev = backend::backend_kind();
-    for kind in [BackendKind::Scalar, BackendKind::Batched] {
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
         backend::set_backend(kind);
         // the one allowed expansion: building the context's bank
         let before_ctx = expansions.get();

@@ -262,3 +262,39 @@ fn deadline_zero_degrades_deterministically() {
     assert_eq!(second.mask_hash.as_ref(), Some(&hash));
     server.shutdown();
 }
+
+#[test]
+fn oversized_layout_gets_a_typed_422_and_the_daemon_serves_on() {
+    let _g = chaos_guard();
+    let server = Server::start(fast_serve_cfg()).expect("server starts");
+    let addr = server.addr().to_string();
+
+    // a 130-byte body whose 4 mm window would rasterize to 2e6 x 2e6 px
+    let probe = OptimizeRequest {
+        id: "huge-1".into(),
+        layout_text: "ldmo-layout v1\nwindow 0 0 4000000 4000000\n\
+                      pattern 40 40 104 104\npattern 160 40 224 104\n"
+            .into(),
+        deadline_ms: None,
+        max_iterations: None,
+        max_candidates: None,
+    };
+    let refused = roundtrip(&addr, &probe);
+    assert_eq!((refused.status, refused.code.as_str()), (422, "bad-layout"));
+
+    let layout = LayoutGenerator::new(GeneratorConfig::default(), 21)
+        .generate_dataset(1)
+        .remove(0);
+    let request = OptimizeRequest {
+        id: "after-1".into(),
+        layout_text: layout_io::to_string(&layout),
+        deadline_ms: None,
+        max_iterations: None,
+        max_candidates: None,
+    };
+    let served = roundtrip(&addr, &request);
+    assert_eq!((served.status, served.code.as_str()), (200, "ok"));
+    assert_eq!(served.rung.as_deref(), Some("attempt"));
+    let stats = server.shutdown();
+    assert_eq!(stats.rejected, 1, "only the probe was refused");
+}

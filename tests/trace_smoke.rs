@@ -213,10 +213,7 @@ fn flow_trace_stays_parseable_with_four_threads() {
     }
 
     // worker-side evaluation spans must hang off the flow.rank span
-    // through the adopted parent, not float at the root. The span name
-    // depends on the litho backend: per-candidate `ilt.evaluate` on the
-    // scalar/simd paths, chunked `ilt.evaluate_batch` under
-    // LDMO_BACKEND=batched (DESIGN.md §13).
+    // through the adopted parent, not float at the root
     let rank_id = spans
         .iter()
         .find(|s| s.get("name").and_then(|v| v.as_str()) == Some("flow.rank"))
@@ -225,12 +222,7 @@ fn flow_trace_stays_parseable_with_four_threads() {
         .expect("flow.rank span id");
     let evals: Vec<_> = spans
         .iter()
-        .filter(|s| {
-            matches!(
-                s.get("name").and_then(|v| v.as_str()),
-                Some("ilt.evaluate") | Some("ilt.evaluate_batch")
-            )
-        })
+        .filter(|s| s.get("name").and_then(|v| v.as_str()) == Some("ilt.evaluate"))
         .collect();
     assert!(!evals.is_empty(), "ranking must record evaluation spans");
     for e in &evals {
